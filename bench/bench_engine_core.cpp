@@ -141,7 +141,7 @@ void BM_EngineStateBranchCopy(benchmark::State& state) {
   const Graph g = two_cliques(n);
   const TwoCliquesProtocol p;
   // Advance to the middle of a run, where the pre-backtracking explorer
-  // branched: half the messages written, every memory composed.
+  // branched: half the messages written.
   EngineState mid(g, p);
   for (std::size_t w = 0; w < n; ++w) {
     mid.begin_round();

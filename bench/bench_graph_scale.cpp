@@ -13,9 +13,9 @@
 //    measured against): edges/s and traversal rounds.
 //  - Frontier-aware sync rounds vs the reference engine on a sparse-frontier
 //    instance (sync-bfs on a star: after the hub writes, every later round
-//    touches one leaf whose whole neighborhood is already written, so the
-//    frontier engine recomposes nothing while the reference engine rescans
-//    every active leaf). `rounds_per_s` is the headline ratio.
+//    writes one leaf and activates nobody, so the frontier engine keeps its
+//    awake and candidate sets in O(1) per round while the reference engine
+//    rescans all n nodes). `rounds_per_s` is the headline ratio.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

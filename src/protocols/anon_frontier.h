@@ -39,11 +39,6 @@ class AnonDegreeProtocol final : public SimSyncProtocol<AnonDegreeOutput> {
                              BitWriter& scratch) const override;
   [[nodiscard]] AnonDegreeOutput output(const Whiteboard& board,
                                         std::size_t n) const override;
-  /// The message is a function of the local view alone; no recomposition is
-  /// ever needed after a neighbor writes.
-  [[nodiscard]] FrontierLocality frontier_locality() const override {
-    return {.activate_neighbor_local = false, .compose_neighbor_local = true};
-  }
   [[nodiscard]] std::string name() const override { return "anon-degree"; }
 };
 

@@ -40,27 +40,31 @@ Entry parse_message(const Bits& m, std::size_t n) {
   return e;
 }
 
-ParsedBoard parse_board(const Whiteboard& board, std::size_t n) {
-  ParsedBoard p;
-  p.layer_of.assign(n + 1, -1);
-  p.written.assign(n + 1, false);
-  p.sum_dminus.assign(n + 2, 0);
-  p.sum_d0.assign(n + 2, 0);
-  p.sum_dplus.assign(n + 2, 0);
-  for (const Bits& m : board.messages()) {
-    Entry e = parse_message(m, n);
-    WB_REQUIRE_MSG(!p.written[e.id], "node " << e.id << " wrote twice");
-    p.written[e.id] = true;
-    WB_REQUIRE_MSG(e.layer >= 0 && static_cast<std::size_t>(e.layer) < n,
-                   "layer out of range");
-    p.layer_of[e.id] = e.layer;
-    const auto l = static_cast<std::size_t>(e.layer);
-    p.sum_dminus[l] += e.dminus;
-    p.sum_d0[l] += e.d0;
-    p.sum_dplus[l] += e.dplus;
-    p.entries.push_back(std::move(e));
-  }
-  return p;
+/// The board decoded once per message: extended as messages are appended.
+const ParsedBoard& parsed(const Whiteboard& board, std::size_t n) {
+  return board.cached_view<ParsedBoard>(
+      [n] {
+        ParsedBoard p;
+        p.layer_of.assign(n + 1, -1);
+        p.written.assign(n + 1, false);
+        p.sum_dminus.assign(n + 2, 0);
+        p.sum_d0.assign(n + 2, 0);
+        p.sum_dplus.assign(n + 2, 0);
+        return p;
+      },
+      [n](ParsedBoard& p, const Bits& m) {
+        Entry e = parse_message(m, n);
+        WB_REQUIRE_MSG(!p.written[e.id], "node " << e.id << " wrote twice");
+        WB_REQUIRE_MSG(e.layer >= 0 && static_cast<std::size_t>(e.layer) < n,
+                       "layer out of range");
+        p.written[e.id] = true;
+        p.layer_of[e.id] = e.layer;
+        const auto l = static_cast<std::size_t>(e.layer);
+        p.sum_dminus[l] += e.dminus;
+        p.sum_d0[l] += e.d0;
+        p.sum_dplus[l] += e.dplus;
+        p.entries.push_back(std::move(e));
+      });
 }
 
 /// Edges promised from layer ℓ to layer ℓ+1: Σ d+1 − 2·Σ d0 over L_ℓ.
@@ -107,8 +111,7 @@ std::size_t SyncBfsProtocol::message_bit_limit(std::size_t n) const {
 bool SyncBfsProtocol::activate(const LocalView& view,
                                const Whiteboard& board) const {
   const std::size_t n = view.n();
-  const ParsedBoard& p = board.cached_view<ParsedBoard>(
-      [n](const Whiteboard& b) { return parse_board(b, n); });
+  const ParsedBoard& p = parsed(board, n);
   if (p.entries.empty()) return view.id() == 1;
 
   // Conditions (a)+(b): some neighbor wrote and its layer is complete.
@@ -134,8 +137,7 @@ Bits SyncBfsProtocol::compose(const LocalView& view,
 Bits SyncBfsProtocol::compose(const LocalView& view, const Whiteboard& board,
                               BitWriter& scratch) const {
   const std::size_t n = view.n();
-  const ParsedBoard& p = board.cached_view<ParsedBoard>(
-      [n](const Whiteboard& b) { return parse_board(b, n); });
+  const ParsedBoard& p = parsed(board, n);
 
   int min_layer = -1;
   for (NodeId u : view.neighbors()) {
@@ -153,7 +155,7 @@ Bits SyncBfsProtocol::compose(const LocalView& view, const Whiteboard& board,
       ++dminus;
       if (parent == kNoNode || u < parent) parent = u;
     } else if (l == layer) {
-      ++d0;  // grows while v waits to be scheduled (synchronous recompose)
+      ++d0;  // grows while v waits to be scheduled (composed at write time)
     }
   }
   const std::size_t dplus = view.degree() - dminus;
@@ -169,8 +171,7 @@ Bits SyncBfsProtocol::compose(const LocalView& view, const Whiteboard& board,
 
 BfsProtocolOutput SyncBfsProtocol::output(const Whiteboard& board,
                                           std::size_t n) const {
-  const ParsedBoard& p = board.cached_view<ParsedBoard>(
-      [n](const Whiteboard& b) { return parse_board(b, n); });
+  const ParsedBoard& p = parsed(board, n);
   WB_REQUIRE_MSG(p.entries.size() == n,
                  "expected " << n << " messages, got " << p.entries.size());
   BfsProtocolOutput out;

@@ -5,9 +5,9 @@
 // with d-1(v) = #written neighbors one layer up, d0(v) = #written neighbors
 // in the same layer *at the moment v's message is finally written* — this is
 // where the synchronous "change its mind" power is essential: d0 grows while
-// v waits to be scheduled, and the engine recomposes every round — and
-// d+1(v) = deg(v) − d-1(v) (intra-layer edges are charged to d+1 and
-// corrected by the certificates below).
+// v waits to be scheduled, and the engine composes v's message only when v
+// is written — and d+1(v) = deg(v) − d-1(v) (intra-layer edges are charged
+// to d+1 and corrected by the certificates below).
 //
 // Layer-ℓ completion certificate (paper condition (b)):
 //     Σ_{L_ℓ} d-1  =  Σ_{L_{ℓ-1}} d+1 − 2·Σ_{L_{ℓ-1}} d0
@@ -21,7 +21,7 @@
 //
 // Deviation from the paper's text: we take p(v) = the minimum-ID written
 // neighbor *in layer l(v)-1*. The paper says "minimum-ID node of N*_v",
-// which under synchronous recomposition could select a same-layer neighbor
+// which under synchronous composition could select a same-layer neighbor
 // that wrote early and would not be a valid BFS parent; restricting to the
 // previous layer matches the obvious intent (and the EOB case, where the two
 // definitions coincide).
@@ -46,14 +46,6 @@ class SyncBfsProtocol final : public ProtocolWithOutput<BfsProtocolOutput> {
                              BitWriter& scratch) const override;
   [[nodiscard]] BfsProtocolOutput output(const Whiteboard& board,
                                          std::size_t n) const override;
-  /// compose reads only the layers of written *neighbors* (plus the local
-  /// view), so the frontier engine may skip recomposing nodes whose
-  /// neighborhood did not write. activate is global — the layer certificates
-  /// sum over whole layers and condition (c) inspects all smaller IDs — so
-  /// it stays unclaimed.
-  [[nodiscard]] FrontierLocality frontier_locality() const override {
-    return {.activate_neighbor_local = false, .compose_neighbor_local = true};
-  }
   [[nodiscard]] std::string name() const override { return "sync-bfs"; }
 };
 

@@ -45,28 +45,34 @@ Entry parse_message(const Bits& m, std::size_t n) {
   return e;
 }
 
-ParsedBoard parse_board(const Whiteboard& board, std::size_t n) {
-  ParsedBoard p;
-  p.layer_of.assign(n + 1, -1);
-  p.written.assign(n + 1, false);
-  p.sum_dminus.assign(n + 2, 0);
-  p.sum_dplus.assign(n + 2, 0);
-  for (const Bits& m : board.messages()) {
-    Entry e = parse_message(m, n);
-    WB_REQUIRE_MSG(!p.written[e.id], "node " << e.id << " wrote twice");
-    p.written[e.id] = true;
-    if (e.kind == kKindInvalid) {
-      p.invalid_seen = true;
-    } else {
-      WB_REQUIRE_MSG(e.layer >= 0 && static_cast<std::size_t>(e.layer) < n,
-                     "layer out of range");
-      p.layer_of[e.id] = e.layer;
-      p.sum_dminus[static_cast<std::size_t>(e.layer)] += e.dminus;
-      p.sum_dplus[static_cast<std::size_t>(e.layer)] += e.dplus;
-    }
-    p.entries.push_back(std::move(e));
-  }
-  return p;
+/// The board decoded once per message: extended as messages are appended.
+const ParsedBoard& parsed(const Whiteboard& board, std::size_t n) {
+  return board.cached_view<ParsedBoard>(
+      [n] {
+        ParsedBoard p;
+        p.layer_of.assign(n + 1, -1);
+        p.written.assign(n + 1, false);
+        p.sum_dminus.assign(n + 2, 0);
+        p.sum_dplus.assign(n + 2, 0);
+        return p;
+      },
+      [n](ParsedBoard& p, const Bits& m) {
+        Entry e = parse_message(m, n);
+        WB_REQUIRE_MSG(!p.written[e.id], "node " << e.id << " wrote twice");
+        WB_REQUIRE_MSG(
+            e.kind == kKindInvalid ||
+                (e.layer >= 0 && static_cast<std::size_t>(e.layer) < n),
+            "layer out of range");
+        p.written[e.id] = true;
+        if (e.kind == kKindInvalid) {
+          p.invalid_seen = true;
+        } else {
+          p.layer_of[e.id] = e.layer;
+          p.sum_dminus[static_cast<std::size_t>(e.layer)] += e.dminus;
+          p.sum_dplus[static_cast<std::size_t>(e.layer)] += e.dplus;
+        }
+        p.entries.push_back(std::move(e));
+      });
 }
 
 /// Layer ℓ complete: all its nodes' back-edges account for every edge the
@@ -120,8 +126,7 @@ bool EobBfsProtocol::activate(const LocalView& view,
     return true;  // report the invalid input immediately
   }
   const std::size_t n = view.n();
-  const ParsedBoard& p = board.cached_view<ParsedBoard>(
-      [n](const Whiteboard& b) { return parse_board(b, n); });
+  const ParsedBoard& p = parsed(board, n);
   if (p.invalid_seen) return true;  // echo so the system drains
 
   if (p.entries.empty()) return view.id() == 1;  // v_1 starts
@@ -156,8 +161,7 @@ Bits EobBfsProtocol::compose(const LocalView& view, const Whiteboard& board,
     codec::write_id(w, view.id(), n);
     return w.take();
   }
-  const ParsedBoard& p = board.cached_view<ParsedBoard>(
-      [n](const Whiteboard& b) { return parse_board(b, n); });
+  const ParsedBoard& p = parsed(board, n);
   if (p.invalid_seen) {
     w.write_uint(kKindInvalid, 1);
     codec::write_id(w, view.id(), n);
@@ -190,8 +194,7 @@ Bits EobBfsProtocol::compose(const LocalView& view, const Whiteboard& board,
 
 BfsProtocolOutput EobBfsProtocol::output(const Whiteboard& board,
                                          std::size_t n) const {
-  const ParsedBoard& p = board.cached_view<ParsedBoard>(
-      [n](const Whiteboard& b) { return parse_board(b, n); });
+  const ParsedBoard& p = parsed(board, n);
   BfsProtocolOutput out;
   if (p.invalid_seen) {
     out.valid = false;

@@ -6,7 +6,7 @@
 //  - "no" (the OUT flag) otherwise.
 // The set of IN IDs on the final whiteboard is an inclusion-maximal
 // independent set containing x, whatever order the adversary forces —
-// SIMSYNC's per-round recomposition is what lets a node withdraw after a
+// SIMSYNC's write-time composition is what lets a node withdraw after a
 // neighbor enters the set.
 //
 // Theorem 6 proves the same problem needs Ω(n)-bit messages in SIMASYNC; the
@@ -31,12 +31,6 @@ class RootedMisProtocol final : public SimSyncProtocol<MisOutput> {
                              BitWriter& scratch) const override;
   [[nodiscard]] MisOutput output(const Whiteboard& board,
                                  std::size_t n) const override;
-  /// compose skips every message whose author is not a neighbor (the root
-  /// special-cases read only the local view), so recomposition is needed
-  /// only after a neighbor writes.
-  [[nodiscard]] FrontierLocality frontier_locality() const override {
-    return {.activate_neighbor_local = false, .compose_neighbor_local = true};
-  }
   [[nodiscard]] std::string name() const override { return "rooted-mis"; }
 
   [[nodiscard]] NodeId root() const noexcept { return root_; }

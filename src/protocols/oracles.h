@@ -86,11 +86,6 @@ class SpanningForestProtocol final
   }
   [[nodiscard]] SpanningForestOutput output(const Whiteboard& board,
                                             std::size_t n) const override;
-  /// Inherited from the embedded SYNC-BFS protocol (compose delegates to it
-  /// verbatim).
-  [[nodiscard]] FrontierLocality frontier_locality() const override {
-    return bfs_.frontier_locality();
-  }
   [[nodiscard]] std::string name() const override { return "spanning-forest"; }
 
  private:

@@ -75,6 +75,9 @@ ChaseMessage parse(const Bits& m, std::size_t n) {
   if (msg.kind == kKindCert) {
     msg.x = codec::read_id(r, n);
     msg.y = codec::read_id(r, n);
+    // A corrupted certificate can name one node twice; it reveals no edges.
+    WB_REQUIRE_MSG(msg.x != msg.id && msg.y != msg.id && msg.x != msg.y,
+                   "certificate of node " << msg.id << " repeats an endpoint");
   } else {
     msg.back_degree = codec::read_count(r, n);
     msg.psums.resize(kPower);
@@ -103,7 +106,9 @@ std::vector<Edge> revealed_edges(const Whiteboard& board, std::size_t n) {
     const auto subset =
         decode_subset(msg.psums, static_cast<int>(msg.back_degree),
                       static_cast<std::uint32_t>(n));
-    WB_REQUIRE_MSG(subset.has_value(),
+    WB_REQUIRE_MSG(subset.has_value() &&
+                       std::find(subset->begin(), subset->end(), msg.id) ==
+                           subset->end(),
                    "announcement of node " << msg.id << " fails to decode");
     for (std::uint32_t u : *subset) {
       edges.push_back(make_edge(msg.id, static_cast<NodeId>(u)));

@@ -16,7 +16,7 @@
 //    based only on what was known at the moment when they became active" —
 //    compose rewinds the whiteboard to the shortest prefix at which the
 //    wrapped protocol's activation condition first held and composes from
-//    that prefix, making the per-round recomposition a no-op.
+//    that prefix, so the write-time message is the activation-time one.
 //
 // Two inclusions are pure rebadging (no behavioral change) and are provided
 // by Rebadge: SIMASYNC→ASYNC and SIMSYNC→SYNC.
@@ -130,9 +130,8 @@ class AsyncInSync final : public ProtocolWithOutput<OutputT> {
     return inner_->activate(view, board);
   }
   Bits compose(const LocalView& view, const Whiteboard& board) const override {
-    // Recomposition happens every round under SYNC; composing from the
-    // activation-time prefix makes every recomposition return the same bits
-    // the ASYNC run would have frozen.
+    // SYNC composes at write time; composing from the activation-time
+    // prefix returns the same bits the ASYNC run would have frozen.
     const Whiteboard prefix = detail::activation_prefix(*inner_, view, board);
     return inner_->compose(view, prefix);
   }

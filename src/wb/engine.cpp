@@ -13,7 +13,7 @@ EngineState::EngineState(const Graph& g, const Protocol& p, EngineOptions opts)
   WB_CHECK_MSG(n_ >= 1, "protocols run on graphs with at least one node");
   if (opts_.max_rounds == 0) opts_.max_rounds = 2 * n_ + 8;
   state_.assign(n_, NodeState::kAwake);
-  memory_.assign(n_, Bits{});
+  if (is_asynchronous(p.model_class())) memory_.assign(n_, Bits{});
   written_.assign(n_, false);
   stats_.activation_round.assign(n_, 0);
   stats_.write_round.assign(n_, 0);
@@ -46,15 +46,6 @@ void EngineState::journal_activation(NodeId v) {
   UndoRecord u;
   u.kind = UndoRecord::Kind::kActivation;
   u.node = v;
-  journal_.push_back(std::move(u));
-}
-
-void EngineState::journal_memory(NodeId v) {
-  if (!journaling_) return;
-  UndoRecord u;
-  u.kind = UndoRecord::Kind::kMemory;
-  u.node = v;
-  u.old_memory = std::move(memory_[v - 1]);
   journal_.push_back(std::move(u));
 }
 
@@ -91,19 +82,16 @@ void EngineState::rewind(const Checkpoint& cp) {
   WB_CHECK_MSG(journaling_, "rewind() requires journaling");
   WB_CHECK_MSG(cp.journal_size <= journal_.size(),
                "rewind() past an already-rewound checkpoint");
-  // Undo journaled mutations newest-first, so a node recomposed several
-  // times ends at its memory from checkpoint time.
+  // Undo journaled mutations newest-first, so a node that changed state
+  // twice ends in its state from checkpoint time.
   while (journal_.size() > cp.journal_size) {
-    UndoRecord& u = journal_.back();
+    const UndoRecord& u = journal_.back();
     switch (u.kind) {
       case UndoRecord::Kind::kStateChange:
         state_[u.node - 1] = u.old_state;
         break;
       case UndoRecord::Kind::kActivation:
         stats_.activation_round[u.node - 1] = 0;
-        break;
-      case UndoRecord::Kind::kMemory:
-        memory_[u.node - 1] = std::move(u.old_memory);
         break;
     }
     journal_.pop_back();
@@ -128,11 +116,10 @@ void EngineState::rewind(const Checkpoint& cp) {
   candidates_.clear();
 }
 
-void EngineState::compose_into(NodeId v) {
+bool EngineState::compose_checked(NodeId v, Bits& message) {
   // Defensive reset (a no-op after a well-behaved take()): the compose
   // contract hands the protocol an *empty* writer.
   compose_scratch_.reset();
-  Bits message;
   try {
     message = protocol_->compose(view_of(v), board_, compose_scratch_);
   } catch (const DataError& e) {
@@ -143,7 +130,7 @@ void EngineState::compose_into(NodeId v) {
     std::ostringstream os;
     os << "node " << v << " compose rejected the whiteboard: " << e.what();
     fail(RunStatus::kFault, os.str());
-    return;
+    return false;
   }
   const std::size_t limit = protocol_->message_bit_limit(n_);
   if (message.size() > limit) {
@@ -151,10 +138,9 @@ void EngineState::compose_into(NodeId v) {
     os << "node " << v << " composed " << message.size()
        << " bits, exceeding the declared bound of " << limit << " bits";
     fail(RunStatus::kMessageOverflow, os.str());
-    return;
+    return false;
   }
-  journal_memory(v);
-  memory_[v - 1] = std::move(message);
+  return true;
 }
 
 void EngineState::begin_round() {
@@ -188,7 +174,7 @@ void EngineState::begin_round_reference() {
     }
   }
 
-  // Phase 2: activations (+ compositions).
+  // Phase 2: activations (+ asynchronous compositions).
   for (NodeId v = 1; v <= n_; ++v) {
     if (state_[v - 1] != NodeState::kAwake) continue;
     const bool wants = activate_of(v);
@@ -206,21 +192,8 @@ void EngineState::begin_round_reference() {
     journal_activation(v);
     stats_.activation_round[v - 1] = round_;
     trace(TraceEvent::Kind::kActivate, v);
-    if (async) {
-      // Asynchronous classes: the message is created now and frozen.
-      compose_into(v);
-      if (terminal()) return;
-    }
-  }
-  if (!async) {
-    // Synchronous classes: every active, unwritten node recomputes its local
-    // memory from the current whiteboard ("may change its mind").
-    for (NodeId v = 1; v <= n_; ++v) {
-      if (state_[v - 1] == NodeState::kActive && !written_[v - 1]) {
-        compose_into(v);
-        if (terminal()) return;
-      }
-    }
+    // Asynchronous classes: the message is created now and frozen.
+    if (async && !compose_checked(v, memory_[v - 1])) return;
   }
 
   // Candidate set for the adversary.
@@ -266,11 +239,7 @@ void EngineState::begin_round_frontier() {
     stats_.activation_round[v - 1] = round_;
     trace(TraceEvent::Kind::kActivate, v);
     newly_activated_.push_back(v);
-    if (async) {
-      compose_into(v);
-      if (terminal()) return false;
-    }
-    return true;
+    return !async || compose_checked(v, memory_[v - 1]);
   };
   if (round_ == 1 || !locality_.activate_neighbor_local) {
     for (NodeId v : awake_ids_) {
@@ -303,54 +272,6 @@ void EngineState::begin_round_frontier() {
                        newly_activated_.end());
     std::inplace_merge(candidates_.begin(), candidates_.begin() + mid,
                        candidates_.end());
-  }
-
-  if (!async) {
-    if (!locality_.compose_neighbor_local) {
-      // Recompose every active unwritten node, as the reference does.
-      for (NodeId v : candidates_) {
-        compose_into(v);
-        if (terminal()) return;
-      }
-    } else if (writer != kNoNode &&
-               graph_->degree(writer) > candidates_.size()) {
-      // Bottom-up: scan candidates; recompose the fresh ones and the
-      // writer's neighbors (the only memories that can change).
-      for (NodeId v : candidates_) {
-        if (std::binary_search(newly_activated_.begin(),
-                               newly_activated_.end(), v) ||
-            graph_->has_edge(writer, v)) {
-          compose_into(v);
-          if (terminal()) return;
-        }
-      }
-    } else {
-      // Top-down: merge-walk the new actives and the writer's candidate
-      // neighbors in ascending ID order, skipping duplicates.
-      const auto nb = writer == kNoNode ? std::span<const NodeId>{}
-                                        : graph_->neighbors(writer);
-      std::size_t ai = 0, bi = 0;
-      while (true) {
-        while (bi < nb.size() && (state_[nb[bi] - 1] != NodeState::kActive ||
-                                  written_[nb[bi] - 1])) {
-          ++bi;
-        }
-        NodeId v = kNoNode;
-        if (ai < newly_activated_.size() &&
-            (bi >= nb.size() || newly_activated_[ai] <= nb[bi])) {
-          v = newly_activated_[ai];
-          if (bi < nb.size() && nb[bi] == v) ++bi;  // present in both
-          ++ai;
-        } else if (bi < nb.size()) {
-          v = nb[bi];
-          ++bi;
-        } else {
-          break;
-        }
-        compose_into(v);
-        if (terminal()) return;
-      }
-    }
   }
 }
 
@@ -386,9 +307,14 @@ void EngineState::write_node(NodeId v) {
   WB_CHECK_MSG(!wrote_this_round_,
                "one adversarial write per round: begin_round() first");
   wrote_this_round_ = true;
-  const Bits& message = memory_[v - 1];
+  Bits message;
+  if (is_asynchronous(protocol_->model_class())) {
+    message = memory_[v - 1];  // a copy: after a rewind it can be written again
+  } else if (!compose_checked(v, message)) {
+    return;  // the write itself ended the run; nothing reached the board
+  }
   stats_.max_message_bits = std::max(stats_.max_message_bits, message.size());
-  board_.append(message);
+  board_.append(std::move(message));
   stats_.total_bits = board_.total_bits();
   written_[v - 1] = true;
   stats_.write_round[v - 1] = round_;

@@ -3,12 +3,14 @@
 // One engine round performs, in order:
 //   1. termination updates — an active node whose message is on the
 //      whiteboard becomes terminated;
-//   2. activations — every awake node evaluates act(view, W); nodes that
-//      activate compose their message immediately from the same W
-//      (asynchronous classes freeze it; synchronous classes also recompose
-//      the memories of all previously active nodes from the current W);
+//   2. activations — every awake node evaluates act(view, W); in the
+//      asynchronous classes a node that activates composes its message
+//      immediately from the same W, and the engine freezes it;
 //   3. one adversarial write — the adversary picks an active node whose
-//      message is not yet on the whiteboard and the engine appends it.
+//      message is not yet on the whiteboard and the engine appends it. In
+//      the synchronous classes the engine composes that message now, from
+//      the current W: a node "may change its mind" until it is chosen, and
+//      only the memory it holds at that moment is ever observable.
 //
 // This collapses the paper's "activation round" and the following "write
 // round" into one step. The set of reachable whiteboard sequences is
@@ -16,10 +18,16 @@
 // after its activation condition first holds, and the adversary ranges over
 // exactly those interleavings (see DESIGN.md §4).
 //
-// The engine is also the referee: it verifies the declared model class
-// (simultaneous classes must activate everyone in round one; asynchronous
-// messages are frozen by construction) and fails any run whose message
-// exceeds the protocol's declared f(n) bit bound.
+// The engine is also the referee. It verifies the declared model class
+// (simultaneous classes must activate everyone in round one) and checks
+// every message when it is composed: a compose() that throws DataError ends
+// the run with kFault, and a message longer than the protocol's f(n) bound
+// ends it with kMessageOverflow. A synchronous message is composed only when
+// its node is written, so a memory the adversary never writes cannot fail a
+// run, and a failing writer ends exactly the schedules that choose it — the
+// exhaustive explorers count each such choice as its own execution. An
+// asynchronous message is composed at activation, so it fails the run then,
+// whether or not it would ever have been written.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +45,7 @@ namespace wb {
 enum class RunStatus {
   kSuccess,          // all n messages written (successful configuration)
   kDeadlock,         // corrupted configuration: stuck before n writes
-  kMessageOverflow,  // a node composed more bits than message_bit_limit(n)
+  kMessageOverflow,  // a composed message exceeded message_bit_limit(n)
   kProtocolError,    // protocol violated its declared model class / no progress
   kFault,            // a protocol callback rejected the whiteboard (DataError)
                      // — a corrupted or crash-truncated board it cannot decode
@@ -93,12 +101,12 @@ struct EngineOptions {
   bool record_trace = false;
   /// Frontier-aware rounds: instead of rescanning all n nodes every round,
   /// the engine tracks the awake/active sets incrementally and — where the
-  /// protocol's FrontierLocality contract allows — only re-activates and
-  /// recomposes nodes adjacent to the last writer, switching between
-  /// iterating the writer's neighbor list (top-down) and scanning the
-  /// tracked population (bottom-up) on frontier density. Executions are
-  /// bit-identical to the reference rounds. Incompatible with journaling
-  /// (the exhaustive explorer's rewind path keeps the reference engine).
+  /// protocol's FrontierLocality contract allows — only re-activates nodes
+  /// adjacent to the last writer, switching between iterating the writer's
+  /// neighbor list (top-down) and scanning the awake population (bottom-up)
+  /// on frontier density. Executions are bit-identical to the reference
+  /// rounds. Incompatible with journaling (the exhaustive explorer's rewind
+  /// path keeps the reference engine).
   bool frontier = false;
 };
 
@@ -111,8 +119,9 @@ class EngineState {
  public:
   EngineState(const Graph& g, const Protocol& p, EngineOptions opts = {});
 
-  /// Phases 1–2 of the round (terminations, activations, compositions).
-  /// No-op if the run already reached a terminal status.
+  /// Phases 1–2 of the round (terminations, activations, and the
+  /// asynchronous classes' compositions). No-op if the run already reached a
+  /// terminal status.
   void begin_round();
 
   /// Active nodes with unwritten messages, sorted by ID (adversary domain).
@@ -120,13 +129,15 @@ class EngineState {
     return candidates_;
   }
 
-  /// Phase 3: write candidate `index`'s memory and finish the round.
+  /// Phase 3: write candidate `index`'s message and finish the round.
   void write(std::size_t index);
 
   /// Phase 3, addressed by node ID: `v` must be active with an unwritten
   /// message. Unlike write(), leaves the candidate buffer untouched, so a
   /// backtracking caller can iterate its own copy of the candidates across
-  /// rewinds.
+  /// rewinds. In the synchronous classes this is where `v`'s message is
+  /// composed, so the write itself can end the run (kFault or
+  /// kMessageOverflow): check terminal() afterwards.
   void write_node(NodeId v);
 
   /// Terminal when a status is decided (success/deadlock/overflow/error).
@@ -147,11 +158,12 @@ class EngineState {
   /// board content and the written set. In the fault-free reference engine
   /// these determine every other component at a branch point — activations
   /// are monotone functions of the board history (itself the prefix chain of
-  /// the content), memories are frozen at activation (asynchronous) or
-  /// recomposed from the current board (synchronous), and the round counter
-  /// tracks the write count — so two non-terminal states with equal keys
-  /// behave identically under every future schedule. Used by the memoizing
-  /// exhaustive sweep and the symbolic frontier engine.
+  /// the content), messages are frozen at activation (asynchronous) or
+  /// composed from the board at write time (synchronous, so no memory is
+  /// state at all), and the round counter tracks the write count — so two
+  /// non-terminal states with equal keys behave identically under every
+  /// future schedule. Used by the memoizing exhaustive sweep and the
+  /// symbolic frontier engine.
   [[nodiscard]] Hash128 memo_key() const;
 
   // --- Backtracking API (the exhaustive explorer) ---
@@ -191,26 +203,28 @@ class EngineState {
   [[nodiscard]] LocalView view_of(NodeId v) const {
     return LocalView(v, graph_->neighbors(v), graph_->node_count());
   }
-  void compose_into(NodeId v);
-  /// activate() through the fault firewall (see compose_into): a DataError
-  /// from the protocol becomes a kFault terminal status. Callers must check
+  /// compose() through the referee: a DataError from the protocol becomes
+  /// kFault and a message over message_bit_limit(n) becomes
+  /// kMessageOverflow, both naming `v`. Returns false when the run ended.
+  [[nodiscard]] bool compose_checked(NodeId v, Bits& message);
+  /// activate() through the same fault firewall: a DataError from the
+  /// protocol becomes a kFault terminal status. Callers must check
   /// terminal() after; the returned verdict is false on fault.
   [[nodiscard]] bool activate_of(NodeId v);
   void trace(TraceEvent::Kind kind, NodeId v);
 
   /// One reversible mutation. kStateChange restores a node's lifecycle
   /// state, kActivation clears its activation round (set exactly once, from
-  /// 0), kMemory restores its previous local memory.
+  /// 0). Memories need no record: an asynchronous node's memory is only read
+  /// while the node is active, and every activation recomposes it.
   struct UndoRecord {
-    enum class Kind : std::uint8_t { kStateChange, kActivation, kMemory };
+    enum class Kind : std::uint8_t { kStateChange, kActivation };
     Kind kind = Kind::kStateChange;
     NodeState old_state = NodeState::kAwake;
     NodeId node = kNoNode;
-    Bits old_memory;
   };
   void journal_state(NodeId v, NodeState old_state);
   void journal_activation(NodeId v);
-  void journal_memory(NodeId v);
 
   const Graph* graph_;
   const Protocol* protocol_;
@@ -228,6 +242,8 @@ class EngineState {
   BitWriter compose_scratch_;
 
   std::vector<NodeState> state_;
+  /// Frozen messages of the asynchronous classes; unused by the synchronous
+  /// classes, which compose at write time.
   std::vector<Bits> memory_;
   std::vector<bool> written_;
   std::vector<NodeId> candidates_;

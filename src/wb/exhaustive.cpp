@@ -55,6 +55,12 @@ class Backtracker {
   // Invariant: explore() returns with the state rewound to how it found it.
   void explore(std::size_t depth) {
     if (ctl_->stop.load(std::memory_order_relaxed)) return;
+    if (state_.terminal()) {
+      // The write that led here ended the run (a synchronous message is
+      // composed at its write): that choice is an execution of its own.
+      visit_terminal();
+      return;
+    }
     const EngineState::Checkpoint pre_round = state_.checkpoint();
     state_.begin_round();
     if (state_.terminal()) {
@@ -301,22 +307,29 @@ MemoizedTotals sweep_memoized(
   state.set_journaling(true);
   ExecutionResult scratch;
 
+  const auto visit_terminal = [&] {
+    charge(1);
+    ++totals.terminals_visited;
+    state.finish_into(scratch);
+    MemoEntry leaf{1, 0, 0};
+    if (!scratch.ok()) {
+      leaf.engine_failures = 1;
+    } else if (!judge(scratch)) {
+      leaf.wrong_outputs = 1;
+    }
+    distinct->insert(scratch.board.content_hash());
+    return leaf;
+  };
+
   // Invariant (as in Backtracker::explore): returns with the state rewound
   // to how it found it, and returns the subtree's totals.
   const auto explore = [&](const auto& self) -> MemoEntry {
+    // A write that ended the run (as in Backtracker::explore) is a leaf.
+    if (state.terminal()) return visit_terminal();
     const EngineState::Checkpoint pre_round = state.checkpoint();
     state.begin_round();
     if (state.terminal()) {
-      charge(1);
-      ++totals.terminals_visited;
-      state.finish_into(scratch);
-      MemoEntry leaf{1, 0, 0};
-      if (!scratch.ok()) {
-        leaf.engine_failures = 1;
-      } else if (!judge(scratch)) {
-        leaf.wrong_outputs = 1;
-      }
-      distinct->insert(scratch.board.content_hash());
+      const MemoEntry leaf = visit_terminal();
       state.rewind(pre_round);
       return leaf;
     }

@@ -5,15 +5,21 @@
 //  - msg: the message an active node stores in its local memory,
 // plus the output function evaluated on the final whiteboard, its declared
 // model class, and its message-size bound f(n) (checked by the engine on
-// every write).
+// every composed message).
 //
 // The engine enforces the class semantics mechanically:
 //  - simultaneous classes: activate() must return true on the empty
 //    whiteboard for every node (the engine verifies);
-//  - asynchronous classes: compose() is called exactly once per node, at
-//    activation time, and the result is frozen;
-//  - synchronous classes: compose() is re-evaluated every round until the
-//    adversary writes the node's current memory.
+//  - asynchronous classes: compose() is called exactly once per activation,
+//    at activation time, and the result is frozen;
+//  - synchronous classes: compose() is called once per write, when the
+//    adversary chooses the node, on the whiteboard as it stands then. The
+//    paper's node keeps recomputing its memory until it is chosen; since
+//    compose() is a pure function of (view, whiteboard), only that last
+//    memory is observable, so the engine computes nothing else.
+// A compose() that throws DataError or exceeds f(n) fails the run at that
+// call (kFault / kMessageOverflow; see src/wb/engine.h for the referee
+// rules). A synchronous node that is never written is never composed.
 #pragma once
 
 #include <memory>
@@ -27,10 +33,11 @@
 namespace wb {
 
 /// A protocol's opt-in contract for the engine's frontier-aware rounds
-/// (EngineOptions::frontier). Both flags describe *data dependence*, not a
-/// different semantics — the engine uses them to skip re-evaluations that
+/// (EngineOptions::frontier). The flag describes *data dependence*, not a
+/// different semantics — the engine uses it to skip re-evaluations that
 /// provably cannot change, and the result must stay bit-identical to the
-/// reference engine.
+/// reference engine. compose() needs no such flag: the engine calls it only
+/// when a message is created (activation or write), never to refresh one.
 struct FrontierLocality {
   /// activate(view, board) is a pure function of (view, the subsequence of
   /// board messages authored by neighbors of view.id()). Since the board only
@@ -38,11 +45,6 @@ struct FrontierLocality {
   /// round after one of its neighbors wrote — everyone else keeps last
   /// round's (false) answer without being asked again.
   bool activate_neighbor_local = false;
-  /// compose(view, board) is a pure function of (view, the subsequence of
-  /// board messages authored by neighbors of view.id()). Synchronous classes
-  /// then only need to recompose an active node when a neighbor wrote since
-  /// its memory was last computed.
-  bool compose_neighbor_local = false;
 };
 
 class Protocol {
@@ -142,7 +144,7 @@ class SimAsyncProtocol : public ProtocolWithOutput<OutputT> {
 };
 
 /// Convenience base for SIMSYNC protocols: activation unconditional, message
-/// recomputed from the evolving whiteboard.
+/// composed from the whiteboard as it stands when the node is written.
 template <typename OutputT>
 class SimSyncProtocol : public ProtocolWithOutput<OutputT> {
  public:

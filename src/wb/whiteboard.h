@@ -62,14 +62,17 @@ class Whiteboard {
     own_tail();
     entries_->push_back(std::move(message));
     ++count_;
-    cache_.reset();  // any append invalidates decoded views
+    // A cached view now describes a prefix of the board; cached_view
+    // extends it on the next read.
   }
 
   /// Drop every message past the first `new_count`. O(messages dropped).
-  /// Cached views of prefixes that survive stay valid (they are keyed by
-  /// message count and the prefix is immutable).
+  /// A cached view of a surviving prefix stays valid (the prefix is
+  /// immutable); a view of anything longer is dropped, since the next
+  /// appends may differ from the messages it saw.
   void truncate(std::size_t new_count) {
     WB_CHECK(new_count <= count_);
+    if (cache_ != nullptr && cache_->count > new_count) cache_.reset();
     for (std::size_t i = new_count; i < count_; ++i) {
       total_bits_ -= (*entries_)[i].size();
     }
@@ -111,32 +114,45 @@ class Whiteboard {
     return h.digest();
   }
 
-  /// Memoized decoded view of the board.
+  /// Memoized decoded view of the board, for views that are a left fold
+  /// over the messages: the view of the empty board is `start()`, and
+  /// `fold(view, message)` adds one message.
   ///
   /// Protocol callbacks are invoked O(n) times per round on the same
   /// whiteboard; parsing the full board in each call makes a run O(n³).
-  /// Because the board is append-only and immutable between appends, a
-  /// decoded view keyed by (view type, message count) stays valid until the
-  /// next append — `append` drops it. Copying a Whiteboard shares the cache
-  /// (both copies hold the same prefix), which is exactly what snapshotting
-  /// a board mid-exploration needs. The slot is a single allocation; the
-  /// view type is identified by a tagged static, not typeid.
+  /// Because the board is append-only, a view of a prefix stays valid: the
+  /// memo extends it by the messages appended since — in place when this
+  /// board is its only holder — so a run decodes each message once. Copying
+  /// a Whiteboard shares the memo (both copies hold the same prefix), which
+  /// is exactly what snapshotting a board mid-exploration needs. The slot is
+  /// a single allocation; the view type is identified by a tagged static,
+  /// not typeid. If `fold` throws (a message the protocol cannot decode),
+  /// the partial view is discarded and the error propagates.
   ///
-  /// The factory must be a pure function of the board contents (same
+  /// `start` and `fold` must be pure functions of their arguments (the
   /// requirement §2 places on act/msg themselves).
-  template <typename T, typename Factory>
-  const T& cached_view(const Factory& factory) const {
-    if (cache_ == nullptr || cache_->tag != type_tag<T>() ||
-        cache_->count != count_) {
-      auto slot = std::make_shared<CacheSlot<T>>();
-      slot->tag = type_tag<T>();
-      slot->count = count_;
-      slot->value = factory(*this);
-      const T& ref = slot->value;
-      cache_ = std::move(slot);
-      return ref;
+  template <typename T, typename Start, typename Fold>
+  const T& cached_view(const Start& start, const Fold& fold) const {
+    CacheSlot<T>* slot = nullptr;
+    if (cache_ != nullptr && cache_->tag == type_tag<T>() &&
+        (cache_->count == count_ || cache_.use_count() == 1)) {
+      slot = static_cast<CacheSlot<T>*>(cache_.get());
+    } else {
+      auto fresh = std::make_shared<CacheSlot<T>>();
+      fresh->tag = type_tag<T>();
+      fresh->value = start();
+      slot = fresh.get();
+      cache_ = std::move(fresh);
     }
-    return static_cast<const CacheSlot<T>*>(cache_.get())->value;
+    try {
+      for (; slot->count < count_; ++slot->count) {
+        fold(slot->value, (*entries_)[slot->count]);
+      }
+    } catch (...) {
+      cache_.reset();
+      throw;
+    }
+    return slot->value;
   }
 
  private:
@@ -181,7 +197,8 @@ class Whiteboard {
   std::shared_ptr<std::vector<Bits>> entries_;
   std::size_t count_ = 0;
   std::size_t total_bits_ = 0;
-  mutable std::shared_ptr<const CacheBase> cache_;
+  /// Invariant: a cached view describes a prefix of this board.
+  mutable std::shared_ptr<CacheBase> cache_;
 };
 
 }  // namespace wb

@@ -206,6 +206,57 @@ TEST(Runners, ShardedSweepCountsWrongOutputsLikeTheExhaustiveReport) {
   EXPECT_GT(merged.wrong_outputs, 0u);
 }
 
+TEST(Runners, CorruptSweepBranchesPerFailingWriterAtAnyThreadOrShardCount) {
+  // Under corruption a two-cliques writer can fail to decode the board; each
+  // schedule that chooses such a writer is its own failing execution. The
+  // report must not depend on how the schedule tree is split.
+  const Graph g = graph_from_spec("twocliques:3");
+  ExhaustiveRunOptions opts;
+  opts.faults = parse_fault_spec("corrupt:1/8:1");
+  opts.threads = 1;
+  const RunReport serial = run_protocol_spec_exhaustive("two-cliques", g, opts);
+  EXPECT_EQ(serial.executions, 449u);
+  EXPECT_EQ(serial.executions - serial.engine_failures - serial.wrong_outputs,
+            360u);
+  const std::string lines =
+      serial.summary.substr(serial.summary.find("schedules"));
+  opts.threads = 4;
+  const RunReport par = run_protocol_spec_exhaustive("two-cliques", g, opts);
+  EXPECT_EQ(par.summary.substr(par.summary.find("schedules")), lines);
+
+  shard::PlanOptions plan;
+  plan.faults = opts.faults;
+  std::vector<shard::ShardResult> results;
+  for (const auto& spec :
+       plan_protocol_spec_shards("two-cliques", g, 4, plan)) {
+    const auto parsed = shard::parse_shard_spec(shard::serialize(spec));
+    results.push_back(shard::parse_shard_result(
+        shard::serialize(run_protocol_spec_shard(parsed, /*threads=*/1))));
+  }
+  const shard::MergedResult merged = shard::merge_shard_results(results);
+  EXPECT_EQ(merged.executions, serial.executions);
+  EXPECT_EQ(merged.engine_failures, serial.engine_failures);
+  EXPECT_EQ(merged.wrong_outputs, serial.wrong_outputs);
+  EXPECT_NE(lines.find(exhaustive_summary_lines(
+                merged.executions, merged.engine_failures,
+                merged.wrong_outputs, merged.distinct_boards)),
+            std::string::npos)
+      << lines;
+}
+
+TEST(Runners, CorruptPairChaseSweepFailsCleanly) {
+  // Corruption can forge a pair-chase certificate that names one node twice;
+  // decoding it is a kFault execution, not an internal error.
+  const Graph g = graph_from_spec("complete:5");
+  ExhaustiveRunOptions opts;
+  opts.threads = 1;
+  opts.faults = parse_fault_spec("corrupt:1/8:1");
+  RunReport r;
+  ASSERT_NO_THROW(r = run_protocol_spec_exhaustive("pair-chase", g, opts));
+  EXPECT_FALSE(r.correct);
+  EXPECT_GT(r.engine_failures, 0u) << r.summary;
+}
+
 TEST(Runners, ReportsContainVitalSigns) {
   const RunReport r = run("forest:10:80:1", "build-forest", "random:3");
   EXPECT_NE(r.summary.find("protocol"), std::string::npos);

@@ -5,6 +5,7 @@
 #include "src/graph/algorithms.h"
 #include "src/graph/enumerate.h"
 #include "src/graph/generators.h"
+#include "src/protocols/codec.h"
 #include "src/wb/engine.h"
 #include "src/wb/exhaustive.h"
 
@@ -146,6 +147,34 @@ TEST(TrianglePairChase, MessageIsLogN) {
   const TrianglePairChaseProtocol p(0);
   // announce: kind + id + count + p1 + p2 + p3 ≈ 1 + 11 + 11 + 22 + 33 + 44.
   EXPECT_LE(p.message_bit_limit(1024), 128u);
+}
+
+TEST(TrianglePairChase, CertificateWithARepeatedEndpointIsADataError) {
+  // A corrupted board can carry a certificate (id, x, y) naming one node
+  // twice. Decoding it must be a typed DataError — which the engine turns
+  // into a kFault run — not a failed internal check on the edge {id, id}.
+  const std::size_t n = 5;
+  const auto certificate = [n](NodeId id, NodeId x, NodeId y) {
+    BitWriter w;
+    w.write_uint(1, 1);  // certificate kind
+    codec::write_id(w, id, n);
+    codec::write_id(w, x, n);
+    codec::write_id(w, y, n);
+    return w.take();
+  };
+  const TrianglePairChaseProtocol p;
+  const Graph g = complete_graph(n);
+  const LocalView view(4, g.neighbors(4), n);
+  // Node 2's certificate with y == id, x == id, and x == y.
+  for (const auto& [x, y] : {std::pair<NodeId, NodeId>{1, 2}, {2, 3}, {3, 3}}) {
+    Whiteboard board;
+    board.append(certificate(2, x, y));
+    EXPECT_THROW((void)p.compose(view, board), DataError) << x << " " << y;
+    EXPECT_THROW((void)p.output(board, n), DataError) << x << " " << y;
+  }
+  Whiteboard sound;
+  sound.append(certificate(2, 1, 3));
+  EXPECT_EQ(p.output(sound, n), TriangleVerdict::kYes);
 }
 
 TEST(TrianglePairChase, CspLimitGuard) {

@@ -6,7 +6,9 @@
 #include <set>
 
 #include "src/graph/generators.h"
+#include "src/protocols/bfs_sync.h"
 #include "src/protocols/build_forest.h"
+#include "src/protocols/two_cliques.h"
 #include "tests/wb/test_protocols.h"
 
 namespace wb {
@@ -72,13 +74,88 @@ TEST(Engine, DeadlockDetected) {
 
 TEST(Engine, SynchronousRecompositionSeesCurrentBoard) {
   // Every written message must carry the pre-write board size: proves the
-  // engine recomposes synchronous memories each round.
+  // engine composes a synchronous message from the board at its write.
   const Graph g = complete_graph(5);
   const testing::BoardSizeProtocol p;
   for (auto& adv : standard_adversaries(g, 99)) {
     const ExecutionResult r = run_protocol(g, p, *adv);
     ASSERT_TRUE(r.ok()) << adv->name();
     EXPECT_EQ(p.output(r.board, 5), 1) << adv->name();
+  }
+}
+
+TEST(Engine, UnwrittenSynchronousMemoriesCannotFailARun) {
+  // Under the first-fit adversary the nodes write in ID order, so every
+  // message fits; the memories of the nodes still waiting would not.
+  const Graph g = path_graph(4);
+  const testing::InOrderOnlyProtocol p;
+  const ExecutionResult in_order = run_protocol(g, p);
+  EXPECT_EQ(in_order.status, RunStatus::kSuccess) << in_order.error;
+  EXPECT_EQ(in_order.stats.max_message_bits, 1u);
+
+  // The last-fit adversary writes node 4 first: the write itself fails,
+  // names its writer, and puts nothing on the board.
+  LastAdversary last;
+  const ExecutionResult out_of_order = run_protocol(g, p, last);
+  EXPECT_EQ(out_of_order.status, RunStatus::kMessageOverflow);
+  EXPECT_EQ(out_of_order.error.rfind("node 4 composed 2 bits", 0), 0u)
+      << out_of_order.error;
+  EXPECT_EQ(out_of_order.stats.rounds, 1u);
+  EXPECT_EQ(out_of_order.stats.writes, 0u);
+  EXPECT_TRUE(out_of_order.board.empty());
+  EXPECT_TRUE(out_of_order.write_order.empty());
+}
+
+/// Counts Protocol::compose calls of the protocol it wraps.
+class ComposeCounter final : public Protocol {
+ public:
+  explicit ComposeCounter(const Protocol& inner) : inner_(inner) {}
+  ModelClass model_class() const override { return inner_.model_class(); }
+  std::size_t message_bit_limit(std::size_t n) const override {
+    return inner_.message_bit_limit(n);
+  }
+  bool activate(const LocalView& view, const Whiteboard& board) const override {
+    return inner_.activate(view, board);
+  }
+  Bits compose(const LocalView& view, const Whiteboard& board) const override {
+    ++calls;
+    return inner_.compose(view, board);
+  }
+  Bits compose(const LocalView& view, const Whiteboard& board,
+               BitWriter& scratch) const override {
+    ++calls;
+    return inner_.compose(view, board, scratch);
+  }
+  FrontierLocality frontier_locality() const override {
+    return inner_.frontier_locality();
+  }
+  std::string name() const override { return inner_.name(); }
+
+  mutable std::size_t calls = 0;
+
+ private:
+  const Protocol& inner_;
+};
+
+TEST(Engine, SynchronousRunsComposeEachMessageOnce) {
+  // One compose per written message, in either round implementation: a
+  // SIMSYNC run (everyone active from round 1) and a SYNC run (activation
+  // gated on the board).
+  const TwoCliquesProtocol two_cliques_p;
+  const SyncBfsProtocol bfs;
+  const Graph cliques = two_cliques(6);
+  const Graph grid = grid_graph(3, 4);
+  const std::pair<const Graph*, const Protocol*> cases[] = {
+      {&cliques, &two_cliques_p}, {&grid, &bfs}};
+  for (const auto& [g, inner] : cases) {
+    for (const bool frontier : {false, true}) {
+      const ComposeCounter counted(*inner);
+      const ExecutionResult r =
+          run_protocol(*g, counted, EngineOptions{.frontier = frontier});
+      ASSERT_TRUE(r.ok()) << inner->name() << ": " << r.error;
+      EXPECT_EQ(counted.calls, g->node_count())
+          << inner->name() << " frontier=" << frontier;
+    }
   }
 }
 
@@ -207,7 +284,8 @@ TEST(EngineState, CheckpointRequiresJournaling) {
 
 // Branch once by checkpoint/rewind and once on a fresh engine: every
 // observable of the two executions must agree. Exercises undo of writes,
-// activations, terminations, and (for the sync protocol) recompositions.
+// activations, terminations, and (for the sync protocol) write-time
+// compositions.
 class EngineRewindTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(EngineRewindTest, RewindReplaysExactly) {

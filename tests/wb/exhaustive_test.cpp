@@ -179,14 +179,60 @@ TEST(ExhaustiveEquivalence, BacktrackerMatchesCopyBasedDfs) {
     expect_same_execution_sequence(*g, deadlocker);
   }
 
-  // Synchronous classes (memories recomposed every round — stresses the
-  // rewind of per-round recompositions).
+  // Synchronous classes (messages composed at their write — stresses the
+  // rewind of writes, including writes that end the run).
   const testing::BoardSizeProtocol board_size;  // SIMSYNC
+  const testing::InOrderOnlyProtocol in_order;  // SIMSYNC, failing writes
   const SyncBfsProtocol bfs;                    // SYNC, gated activations
   for (const Graph* g : {&path4, &star4, &kb22}) {
     expect_same_execution_sequence(*g, board_size);
+    expect_same_execution_sequence(*g, in_order);
     expect_same_execution_sequence(*g, bfs);
   }
+}
+
+TEST(Exhaustive, EachFailingWriteIsAnExecutionOfItsOwn) {
+  // in-order-only on n=4: at the k-th write, the n-k out-of-order writers
+  // each end a schedule, and the in-order writer continues — 1 + n(n-1)/2
+  // executions, exactly one of them successful. Every backend agrees.
+  const Graph g = path_graph(4);
+  const testing::InOrderOnlyProtocol p;
+  for (const std::size_t threads : {1u, 4u}) {
+    ExhaustiveOptions opts;
+    opts.threads = threads;
+    std::mutex mu;
+    std::uint64_t successes = 0;
+    const std::uint64_t visited = for_each_execution(
+        g, p,
+        [&](const ExecutionResult& r) {
+          std::lock_guard<std::mutex> lock(mu);
+          if (r.ok()) {
+            ++successes;
+            return true;
+          }
+          // The nodes before the failure wrote in ID order; the error names
+          // the writer that broke it, an unwritten node past the next one.
+          EXPECT_EQ(r.status, RunStatus::kMessageOverflow);
+          for (std::size_t i = 0; i < r.write_order.size(); ++i) {
+            EXPECT_EQ(r.write_order[i], i + 1);
+          }
+          EXPECT_EQ(r.error.rfind("node ", 0), 0u) << r.error;
+          const std::size_t writer = std::stoul(r.error.substr(5));
+          EXPECT_GT(writer, r.write_order.size() + 1) << r.error;
+          EXPECT_LE(writer, 4u) << r.error;
+          return true;
+        },
+        opts);
+    EXPECT_EQ(visited, 7u) << "threads=" << threads;
+    EXPECT_EQ(successes, 1u) << "threads=" << threads;
+  }
+  ExhaustiveOptions serial;
+  serial.threads = 1;
+  const MemoizedTotals memo = sweep_memoized(
+      g, p, [](const ExecutionResult&) { return true; }, serial);
+  EXPECT_EQ(memo.executions, 7u);
+  EXPECT_EQ(memo.engine_failures, 6u);
+  EXPECT_EQ(memo.terminals_visited, 7u);
 }
 
 // Reference implementation of distinct-final-board counting with

@@ -189,6 +189,10 @@ TEST(FrontierEquivalence, OversizeOverflowExhaustive) {
   ExhaustiveEquivalence(testing::OversizeProtocol{});
 }
 
+TEST(FrontierEquivalence, InOrderOnlyFailingWritesExhaustive) {
+  ExhaustiveEquivalence(testing::InOrderOnlyProtocol{});
+}
+
 TEST(FrontierEquivalence, LazySimSyncProtocolErrorExhaustive) {
   ExhaustiveEquivalence(testing::LazySimSyncProtocol{});
 }

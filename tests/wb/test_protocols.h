@@ -78,7 +78,7 @@ class OnlyFirstNodeProtocol final : public ProtocolWithOutput<int> {
 };
 
 /// SYNC protocol whose message is the current whiteboard size — exercises
-/// per-round recomposition ("changing one's mind"): the written value must
+/// write-time composition ("changing one's mind"): the written value must
 /// equal the number of messages present just before the node's own write.
 class BoardSizeProtocol final : public ProtocolWithOutput<int> {
  public:
@@ -107,6 +107,27 @@ class BoardSizeProtocol final : public ProtocolWithOutput<int> {
     return 1;
   }
   std::string name() const override { return "board-size"; }
+};
+
+/// SIMSYNC protocol that fits its bound only when written in ID order: node
+/// v's message is one bit when the board holds exactly v-1 messages and two
+/// bits (over the 1-bit bound) otherwise. Pins the referee rule: a
+/// synchronous message is checked when it is written, so the memories of
+/// nodes still waiting cannot fail a run — only the schedules that write an
+/// out-of-order node do, each at that write.
+class InOrderOnlyProtocol final : public SimSyncProtocol<int> {
+ public:
+  std::size_t message_bit_limit(std::size_t) const override { return 1; }
+  Bits compose(const LocalView& view, const Whiteboard& board) const override {
+    BitWriter w;
+    w.write_bit(true);
+    if (board.message_count() + 1 != view.id()) w.write_bit(true);
+    return w.take();
+  }
+  int output(const Whiteboard& board, std::size_t) const override {
+    return static_cast<int>(board.message_count());
+  }
+  std::string name() const override { return "in-order-only"; }
 };
 
 /// ASYNC variant of BoardSizeProtocol: everyone activates immediately, the
@@ -140,9 +161,9 @@ class FrozenBoardSizeProtocol final : public ProtocolWithOutput<int> {
 
 /// ASYNC rumor flood exercising the frontier engine's *activation* locality:
 /// node 1 activates on the empty board; everyone else activates once a
-/// neighbor's message (an echoed ID) is on the board. Both the activation
-/// verdict and the (frozen) message depend only on neighbor-authored
-/// messages, so the protocol honestly claims both locality flags.
+/// neighbor's message (an echoed ID) is on the board. The activation verdict
+/// depends only on neighbor-authored messages, so the protocol honestly
+/// claims activation locality.
 class RumorProtocol final : public ProtocolWithOutput<int> {
  public:
   ModelClass model_class() const override { return ModelClass::kAsync; }
@@ -163,7 +184,7 @@ class RumorProtocol final : public ProtocolWithOutput<int> {
     return w.take();
   }
   FrontierLocality frontier_locality() const override {
-    return {.activate_neighbor_local = true, .compose_neighbor_local = true};
+    return {.activate_neighbor_local = true};
   }
   /// Output: number of messages (the rumor's reach).
   int output(const Whiteboard& board, std::size_t) const override {
@@ -173,9 +194,9 @@ class RumorProtocol final : public ProtocolWithOutput<int> {
 };
 
 /// SYNC cousin of RumorProtocol: same neighbor-triggered activation, but the
-/// message is (own ID, #neighbor messages currently on the board) and is
-/// recomposed every round — exercising the frontier engine's *recompose*
-/// locality paths (top-down and bottom-up) together with local activation.
+/// message is (own ID, #neighbor messages on the board when it is written) —
+/// exercising write-time composition together with the frontier engine's
+/// local activation paths (top-down and bottom-up).
 class GossipCountProtocol final : public ProtocolWithOutput<int> {
  public:
   ModelClass model_class() const override { return ModelClass::kSync; }
@@ -202,7 +223,7 @@ class GossipCountProtocol final : public ProtocolWithOutput<int> {
     return w.take();
   }
   FrontierLocality frontier_locality() const override {
-    return {.activate_neighbor_local = true, .compose_neighbor_local = true};
+    return {.activate_neighbor_local = true};
   }
   /// Output: sum of the written neighbor counts.
   int output(const Whiteboard& board, std::size_t n) const override {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/protocols/bfs_sync.h"
@@ -34,45 +36,69 @@ struct CountView {
 struct SumView {
   std::size_t bits = 0;
 };
+// A folded view: the bit lengths of the messages it has seen, in order.
+struct LengthsView {
+  std::vector<std::size_t> lengths;
+};
+
+/// Fold callbacks for CountView that count how often they run.
+struct CountingFold {
+  int starts = 0;
+  int folds = 0;
+  const CountView& view(const Whiteboard& board) {
+    return board.cached_view<CountView>(
+        [this] {
+          ++starts;
+          return CountView{};
+        },
+        [this](CountView& v, const Bits&) {
+          ++folds;
+          ++v.messages;
+        });
+  }
+};
 
 TEST(WhiteboardCache, BuildsOncePerBoardState) {
   Whiteboard board;
   board.append(bits_of(1, 2));
-  int builds = 0;
-  auto factory = [&builds](const Whiteboard& b) {
-    ++builds;
-    return CountView{b.message_count()};
-  };
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 1u);
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 1u);
-  EXPECT_EQ(builds, 1);
+  CountingFold count;
+  EXPECT_EQ(count.view(board).messages, 1u);
+  EXPECT_EQ(count.view(board).messages, 1u);
+  EXPECT_EQ(count.starts, 1);
+  EXPECT_EQ(count.folds, 1);
 }
 
 TEST(WhiteboardCache, AppendInvalidates) {
+  // The view of the shorter board is not served for the longer one: the
+  // memo folds in the appended message (and only that one).
   Whiteboard board;
-  int builds = 0;
-  auto factory = [&builds](const Whiteboard& b) {
-    ++builds;
-    return CountView{b.message_count()};
-  };
-  (void)board.cached_view<CountView>(factory);
+  CountingFold count;
+  EXPECT_EQ(count.view(board).messages, 0u);
   board.append(bits_of(1, 2));
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 1u);
-  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(count.view(board).messages, 1u);
+  EXPECT_EQ(count.starts, 1);
+  EXPECT_EQ(count.folds, 1);
 }
 
 TEST(WhiteboardCache, DistinctViewTypesDoNotMix) {
   Whiteboard board;
   board.append(bits_of(7, 8));
-  auto count_factory = [](const Whiteboard& b) {
-    return CountView{b.message_count()};
+  const auto count = [&board] {
+    return board
+        .cached_view<CountView>([] { return CountView{}; },
+                                [](CountView& v, const Bits&) { ++v.messages; })
+        .messages;
   };
-  auto sum_factory = [](const Whiteboard& b) {
-    return SumView{b.total_bits()};
+  const auto sum = [&board] {
+    return board
+        .cached_view<SumView>(
+            [] { return SumView{}; },
+            [](SumView& v, const Bits& m) { v.bits += m.size(); })
+        .bits;
   };
-  EXPECT_EQ(board.cached_view<CountView>(count_factory).messages, 1u);
-  EXPECT_EQ(board.cached_view<SumView>(sum_factory).bits, 8u);
-  EXPECT_EQ(board.cached_view<CountView>(count_factory).messages, 1u);
+  EXPECT_EQ(count(), 1u);
+  EXPECT_EQ(sum(), 8u);
+  EXPECT_EQ(count(), 1u);
 }
 
 TEST(WhiteboardCache, CopiesShareThePrefixSafely) {
@@ -80,18 +106,67 @@ TEST(WhiteboardCache, CopiesShareThePrefixSafely) {
   // must not disturb the original's cached view.
   Whiteboard original;
   original.append(bits_of(1, 4));
-  int builds = 0;
-  auto factory = [&builds](const Whiteboard& b) {
-    ++builds;
-    return CountView{b.message_count()};
-  };
-  (void)original.cached_view<CountView>(factory);
+  CountingFold count;
+  (void)count.view(original);
 
   Whiteboard copy = original;
   copy.append(bits_of(2, 4));
-  EXPECT_EQ(copy.cached_view<CountView>(factory).messages, 2u);
-  EXPECT_EQ(original.cached_view<CountView>(factory).messages, 1u);
-  EXPECT_EQ(builds, 2);  // original's view survived the copy's append
+  EXPECT_EQ(count.view(copy).messages, 2u);
+  EXPECT_EQ(count.view(original).messages, 1u);
+  EXPECT_EQ(count.starts, 2);  // the copy built its own; the original kept its
+}
+
+TEST(WhiteboardCache, FoldedViewExtendsOnAppendAndRebuildsPastATruncate) {
+  Whiteboard board;
+  int starts = 0, folds = 0;
+  const auto start = [&starts] {
+    ++starts;
+    return LengthsView{};
+  };
+  const auto fold = [&folds](LengthsView& v, const Bits& m) {
+    ++folds;
+    v.lengths.push_back(m.size());
+  };
+  const auto lengths = [&] {
+    return board.cached_view<LengthsView>(start, fold).lengths;
+  };
+  board.append(bits_of(1, 2));
+  board.append(bits_of(1, 3));
+  EXPECT_EQ(lengths(), (std::vector<std::size_t>{2, 3}));
+  board.append(bits_of(1, 4));
+  EXPECT_EQ(lengths(), (std::vector<std::size_t>{2, 3, 4}));
+  EXPECT_EQ(starts, 1);
+  EXPECT_EQ(folds, 3);  // each message decoded once
+
+  // Truncating to a shorter prefix than the view saw drops it: the next
+  // appends may differ.
+  board.truncate(1);
+  board.append(bits_of(1, 7));
+  EXPECT_EQ(lengths(), (std::vector<std::size_t>{2, 7}));
+  EXPECT_EQ(starts, 2);
+
+  // A shared view is never extended in place: the snapshot keeps its own.
+  const Whiteboard snapshot = board;
+  board.append(bits_of(1, 5));
+  EXPECT_EQ(lengths(), (std::vector<std::size_t>{2, 7, 5}));
+  EXPECT_EQ(snapshot.cached_view<LengthsView>(start, fold).lengths,
+            (std::vector<std::size_t>{2, 7}));
+}
+
+TEST(WhiteboardCache, FoldedViewDiscardsAPartialFoldThatThrows) {
+  Whiteboard board;
+  board.append(bits_of(1, 2));
+  const auto start = [] { return LengthsView{}; };
+  const auto fold = [](LengthsView& v, const Bits& m) {
+    v.lengths.push_back(m.size());
+    WB_REQUIRE_MSG(m.size() < 8, "undecodable");
+  };
+  EXPECT_EQ(board.cached_view<LengthsView>(start, fold).lengths.size(), 1u);
+  board.append(bits_of(1, 9));
+  EXPECT_THROW((void)board.cached_view<LengthsView>(start, fold), DataError);
+  board.truncate(1);
+  EXPECT_EQ(board.cached_view<LengthsView>(start, fold).lengths,
+            (std::vector<std::size_t>{2}));
 }
 
 TEST(Whiteboard, TruncateUnwindsAppends) {
@@ -215,21 +290,18 @@ TEST(WhiteboardCache, SurvivesTruncateBackToTheCachedPrefix) {
   // rewinds to a checkpoint and must not re-parse the unchanged board.
   Whiteboard board;
   board.append(bits_of(1, 2));
-  int builds = 0;
-  auto factory = [&builds](const Whiteboard& b) {
-    ++builds;
-    return CountView{b.message_count()};
-  };
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 1u);
+  CountingFold count;
+  EXPECT_EQ(count.view(board).messages, 1u);
   board.append(bits_of(2, 2));
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 2u);
+  EXPECT_EQ(count.view(board).messages, 2u);
   board.truncate(2);  // no-op truncate keeps the count-2 view
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 2u);
-  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(count.view(board).messages, 2u);
+  EXPECT_EQ(count.starts, 1);
+  EXPECT_EQ(count.folds, 2);
   board.truncate(1);
   board.append(bits_of(3, 2));  // count back to 2, but different content
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 2u);
-  EXPECT_EQ(builds, 3);  // append invalidated the stale count-2 view
+  EXPECT_EQ(count.view(board).messages, 2u);
+  EXPECT_EQ(count.starts, 2);  // the truncate dropped the stale count-2 view
 }
 
 TEST(WhiteboardCache, ExhaustiveExplorationStaysCorrectWithCaching) {
