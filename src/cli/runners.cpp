@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -37,44 +39,72 @@ namespace wb::cli {
 
 namespace {
 
-/// One shard of a planned sweep to execute (see src/wb/shard.h): the parsed
-/// spec, the worker thread count, and where to deposit the result — the
-/// dispatch machinery returns RunReports, so the ShardResult travels by
-/// out-pointer.
-struct ShardRunRequest {
-  const shard::ShardSpec* spec = nullptr;
-  std::size_t threads = 0;
-  shard::ShardResult* out = nullptr;
+/// A protocol spec made runnable: the constructed protocol and the reference
+/// check of one final board. `check` decodes the board with the protocol's
+/// typed output(), validates it against the centralized reference
+/// algorithms, and writes the report's verdict line to `os`; a robust
+/// decoder rejecting a corrupted board throws DataError. The check borrows
+/// the graph the case was made for (everything else it owns), so the case
+/// must not outlive that graph.
+struct ProtocolCase {
+  std::shared_ptr<const Protocol> protocol;
+  std::function<bool(const Whiteboard&, std::ostream&)> check;
 };
 
-/// A sharding plan to produce instead of running anything.
-struct ShardPlanRequest {
-  std::size_t shard_count = 1;
-  shard::PlanOptions options;
-  std::string protocol_spec;  // recorded verbatim in every spec
-  std::vector<shard::ShardSpec>* out = nullptr;
-};
+/// The one template over the protocol type: erase `protocol` and its typed
+/// `check(output, os)` into a ProtocolCase.
+template <typename P, typename Check>
+ProtocolCase make(P protocol, const Graph& g, Check check) {
+  auto p = std::make_shared<const P>(std::move(protocol));
+  return {p, [p, n = g.node_count(), check = std::move(check)](
+                 const Whiteboard& board, std::ostream& os) {
+            return check(p->output(board, n), os);
+          }};
+}
 
-/// How a spec dispatch schedules its runs: one borrowed adversary, the
-/// seeded standard battery fanned out through the batch engine, the
-/// exhaustive sweep over every schedule (parallel subtree partition), one
-/// shard of such a sweep, or just the sharding plan.
-struct RunPlan {
-  Adversary* single = nullptr;  // set: exactly this strategy
-  std::uint64_t seed = 0;       // else: standard_adversaries(g, seed)
-  BatchOptions batch;
-  const ExhaustiveRunOptions* exhaustive = nullptr;  // set: sweep every schedule
-  const SymbolicRunOptions* symbolic = nullptr;  // set: BDD sweep, no schedules
-  const ShardRunRequest* shard_run = nullptr;    // set: run one shard
-  const ShardPlanRequest* shard_plan = nullptr;  // set: emit the plan only
-};
+/// `c.check` with the verdict text discarded — what sweeps call once per
+/// execution, possibly concurrently from pool workers. seekp(0) reuses the
+/// worker's buffer so the hot loop stays allocation-free after warmup.
+bool judge(const ProtocolCase& c, const Whiteboard& board) {
+  thread_local std::ostringstream sink;
+  sink.seekp(0);
+  return c.check(board, sink);
+}
 
-void describe_run(std::ostringstream& os, const Graph& g, const Protocol& p,
-                  const std::string& adversary, const ExecutionResult& r) {
+/// The `protocol ... / graph ...` lines every report opens with.
+void describe_protocol(std::ostream& os, const Protocol& p, const Graph& g) {
   os << "protocol   " << p.name() << " (" << model_name(p.model_class())
      << "[" << p.message_bit_limit(g.node_count()) << " bits])\n";
   os << "graph      n=" << g.node_count() << " m=" << g.edge_count() << "\n";
-  os << "adversary  " << adversary << "\n";
+}
+
+/// The executed/correct/status tally every sweep report shares.
+RunReport sweep_report(std::string adversary, std::uint64_t executions,
+                       std::uint64_t engine_failures,
+                       std::uint64_t wrong_outputs) {
+  RunReport report;
+  report.executed = true;
+  report.adversary = std::move(adversary);
+  report.executions = executions;
+  report.engine_failures = engine_failures;
+  report.wrong_outputs = wrong_outputs;
+  report.correct = engine_failures + wrong_outputs == 0;
+  report.status = engine_failures == 0 ? "success" : "mixed";
+  return report;
+}
+
+/// Report one scheduled run (single adversary or one battery entry).
+RunReport report_run(const ProtocolCase& c, const Graph& g,
+                     const BatteryRun& run) {
+  const ExecutionResult& r = run.result;
+  const Protocol& p = *c.protocol;
+  RunReport report;
+  report.executed = true;
+  report.adversary = run.adversary;
+  report.status = std::string(status_name(r.status));
+  std::ostringstream os;
+  describe_protocol(os, p, g);
+  os << "adversary  " << run.adversary << "\n";
   os << "status     " << status_name(r.status);
   if (!r.error.empty()) os << " — " << r.error;
   os << "\n";
@@ -89,6 +119,13 @@ void describe_run(std::ostringstream& os, const Graph& g, const Protocol& p,
      << budget_utilization(board, g.node_count(),
                            p.message_bit_limit(g.node_count()))
      << "\n";
+  if (r.ok()) {
+    report.correct = c.check(r.board, os);
+  } else {
+    os << "verdict    (no output: run not successful)\n";
+  }
+  report.summary = os.str();
+  return report;
 }
 
 /// Running minimum over failing schedules: the counterexample a
@@ -123,29 +160,21 @@ struct CounterexampleTracker {
   }
 };
 
-/// The typed fault classifier every fault-aware sweep path shares. Verdict
-/// rules:
+/// The fault classifier every fault-aware sweep path shares. Verdict rules:
 ///  - a successful execution is judged by the protocol's own check;
 ///  - a crash execution's natural deadlock (crashed nodes never write) is
 ///    judged on the partial board — crash-tolerant protocols still answer,
 ///    and a wrong answer is kWrongOutput, not an engine failure;
 ///  - every other engine failure, and a DataError from a robust decoder
 ///    rejecting a corrupted/truncated board, is kDeadlockOrFault.
-template <typename P, typename Check>
-FaultClassifier make_fault_classifier(const P& protocol, const Graph& g,
-                                      const Check& check) {
-  const std::size_t n = g.node_count();
-  return [&protocol, n, check](const ExecutionResult& r,
-                               std::span<const NodeId> crashed) {
+FaultClassifier make_fault_classifier(const ProtocolCase& c) {
+  return [c](const ExecutionResult& r, std::span<const NodeId> crashed) {
     const bool judge_partial =
         r.status == RunStatus::kDeadlock && !crashed.empty();
     if (!r.ok() && !judge_partial) return FaultVerdict::kDeadlockOrFault;
-    thread_local std::ostringstream sink;
-    sink.seekp(0);
     try {
-      return check(protocol.output(r.board, n), sink)
-                 ? FaultVerdict::kCorrect
-                 : FaultVerdict::kWrongOutput;
+      return judge(c, r.board) ? FaultVerdict::kCorrect
+                               : FaultVerdict::kWrongOutput;
     } catch (const DataError&) {
       return FaultVerdict::kDeadlockOrFault;
     }
@@ -155,19 +184,14 @@ FaultClassifier make_fault_classifier(const P& protocol, const Graph& g,
 /// Fault-model sweep: crash/corruption worlds exhaustively, the adaptive
 /// adversary statistically. Shares report shape (and the `schedules` /
 /// `verdict` line prefixes CI diffs) with the fault-free exhaustive runner.
-template <typename P, typename Check>
-std::vector<RunReport> run_exhaustive_faulty(const P& protocol, const Graph& g,
-                                             const ExhaustiveRunOptions& ropts,
-                                             const Check& check) {
-  const FaultClassifier classify = make_fault_classifier(protocol, g, check);
-  RunReport report;
-  report.executed = true;
+RunReport run_exhaustive_faulty(const ProtocolCase& c, const Graph& g,
+                                const ExhaustiveRunOptions& ropts) {
+  const Protocol& protocol = *c.protocol;
+  const FaultClassifier classify = make_fault_classifier(c);
+  const std::string faults = fault_spec_to_string(ropts.faults);
   std::ostringstream os;
-  os << "protocol   " << protocol.name() << " ("
-     << model_name(protocol.model_class()) << "["
-     << protocol.message_bit_limit(g.node_count()) << " bits])\n";
-  os << "graph      n=" << g.node_count() << " m=" << g.edge_count() << "\n";
-
+  describe_protocol(os, protocol, g);
+  RunReport report;
   const bool adaptive = ropts.faults.kind == FaultKind::kAdaptive;
   if (adaptive || ropts.statistical_trials > 0) {
     StatisticalOptions sopts;
@@ -176,15 +200,14 @@ std::vector<RunReport> run_exhaustive_faulty(const P& protocol, const Graph& g,
     sopts.threads = ropts.threads;
     const StatisticalTotals totals =
         run_statistical_verdict(g, protocol, ropts.faults, classify, sopts);
+    report = sweep_report(std::string(adaptive ? "adaptive" : "statistical") +
+                              "(threads=" + std::to_string(ropts.threads) +
+                              ", faults=" + faults + ")",
+                          totals.verdict.trials(), totals.engine_failures,
+                          totals.wrong_outputs);
     report.statistical = true;
-    report.executions = totals.verdict.trials();
-    report.engine_failures = totals.engine_failures;
-    report.wrong_outputs = totals.wrong_outputs;
     report.verdict_trials = totals.verdict.trials();
     report.verdict_failures = totals.verdict.failures();
-    report.adversary = std::string(adaptive ? "adaptive" : "statistical") +
-                       "(threads=" + std::to_string(ropts.threads) +
-                       ", faults=" + fault_spec_to_string(ropts.faults) + ")";
     report.correct = totals.verdict.failures() == 0;
     report.status = report.correct ? "success" : "mixed";
     os << "adversary  " << report.adversary << "\n";
@@ -198,15 +221,12 @@ std::vector<RunReport> run_exhaustive_faulty(const P& protocol, const Graph& g,
     opts.distinct = ropts.distinct;
     const FaultSweepTotals totals =
         sweep_faulty_executions(g, protocol, ropts.faults, classify, opts);
-    report.executions = totals.executions;
-    report.engine_failures = totals.engine_failures;
-    report.wrong_outputs = totals.wrong_outputs;
+    report = sweep_report("exhaustive(threads=" +
+                              std::to_string(ropts.threads) +
+                              ", faults=" + faults + ")",
+                          totals.executions, totals.engine_failures,
+                          totals.wrong_outputs);
     report.fault_worlds = totals.worlds;
-    report.adversary = "exhaustive(threads=" + std::to_string(ropts.threads) +
-                       ", faults=" + fault_spec_to_string(ropts.faults) + ")";
-    const std::uint64_t failures = totals.engine_failures + totals.wrong_outputs;
-    report.correct = failures == 0;
-    report.status = totals.engine_failures == 0 ? "success" : "mixed";
     os << "adversary  " << report.adversary << " — " << totals.worlds
        << " fault worlds\n";
     const std::uint64_t distinct =
@@ -216,72 +236,15 @@ std::vector<RunReport> run_exhaustive_faulty(const P& protocol, const Graph& g,
                                    ropts.distinct);
   }
   report.summary = os.str();
-  return {std::move(report)};
+  return report;
 }
 
-/// Symbolic plan (src/sym/reach.h): the serial enumerator's exact
-/// schedules/distinct/verdict accounting from a BDD fixpoint, enumerating
-/// zero schedules. The per-protocol check is wrapped into the judge the
-/// frontier engine calls once per distinct final state; the circuit engine
-/// carries its own decoded-incorrect set and never calls it — equivalence
-/// of the two is pinned by tests/sym/sym_equiv_test.cpp.
-template <typename P, typename Check>
-std::vector<RunReport> run_symbolic(const P& protocol, const Graph& g,
-                                    const SymbolicRunOptions& ropts,
-                                    const Check& check) {
-  sym::SymbolicOptions opts;
-  opts.order = ropts.order;
-  opts.engine = ropts.engine;
-  const auto judge = [&](const ExecutionResult& r) {
-    thread_local std::ostringstream sink;
-    sink.seekp(0);
-    return check(protocol.output(r.board, g.node_count()), sink);
-  };
-  const sym::SymbolicTotals totals =
-      sym::symbolic_sweep(g, protocol, judge, opts);
-
-  RunReport report;
-  report.executed = true;
-  report.adversary = "symbolic(order=" + sym::to_string(ropts.order) +
-                     ", engine=" + sym::to_string(totals.engine) + ")";
-  report.executions = totals.executions;
-  report.engine_failures = totals.engine_failures;
-  report.wrong_outputs = totals.wrong_outputs;
-  const std::uint64_t failures = totals.engine_failures + totals.wrong_outputs;
-  report.correct = failures == 0;
-  report.status = totals.engine_failures == 0 ? "success" : "mixed";
-  std::ostringstream os;
-  os << "protocol   " << protocol.name() << " ("
-     << model_name(protocol.model_class()) << "["
-     << protocol.message_bit_limit(g.node_count()) << " bits])\n";
-  os << "graph      n=" << g.node_count() << " m=" << g.edge_count() << "\n";
-  os << "adversary  " << report.adversary << " — " << totals.vars << " vars, "
-     << totals.layers << " layers, 0 schedules enumerated\n";
-  // DistinctConfig{} (exact): the symbolic distinct count is exact by
-  // construction, and the default config keeps these lines byte-identical
-  // to the `exhaustive:1` oracle's — what the CI smoke diffs.
-  os << exhaustive_summary_lines(totals.executions, totals.engine_failures,
-                                 totals.wrong_outputs, totals.distinct,
-                                 DistinctConfig{});
-  os << "bdd        " << totals.bdd.nodes << " nodes, " << totals.bdd.cache_hits
-     << "/" << totals.bdd.cache_lookups << " cache hits";
-  if (totals.engine == sym::SymEngine::kFrontier) {
-    os << ", " << totals.states << " frontier states";
-  }
-  os << "\n";
-  report.summary = os.str();
-  return {std::move(report)};
-}
-
-/// Memoized exhaustive plan (wb::sweep_memoized): serial sweep answering
+/// Memoized exhaustive sweep (wb::sweep_memoized): serial sweep answering
 /// repeated engine states from a memo table. The schedules/verdict lines
 /// are byte-identical to the unmemoized serial sweep's; the adversary line
 /// reports the collapse.
-template <typename P, typename Check>
-std::vector<RunReport> run_exhaustive_memoized(const P& protocol,
-                                               const Graph& g,
-                                               const ExhaustiveRunOptions& ropts,
-                                               const Check& check) {
+RunReport run_exhaustive_memoized(const ProtocolCase& c, const Graph& g,
+                                  const ExhaustiveRunOptions& ropts) {
   WB_REQUIRE_MSG(!ropts.counterexample,
                  "memoize does not track counterexamples (memo-hit subtrees "
                  "are never re-visited)");
@@ -295,28 +258,14 @@ std::vector<RunReport> run_exhaustive_memoized(const P& protocol,
   opts.distinct = ropts.distinct;
   opts.memoize = true;
   const MemoizedTotals totals = sweep_memoized(
-      g, protocol,
-      [&](const ExecutionResult& r) {
-        thread_local std::ostringstream sink;
-        sink.seekp(0);
-        return check(protocol.output(r.board, g.node_count()), sink);
-      },
-      opts);
+      g, *c.protocol,
+      [&c](const ExecutionResult& r) { return judge(c, r.board); }, opts);
 
-  RunReport report;
-  report.executed = true;
-  report.adversary = "exhaustive(threads=1, memoize)";
-  report.executions = totals.executions;
-  report.engine_failures = totals.engine_failures;
-  report.wrong_outputs = totals.wrong_outputs;
-  const std::uint64_t failures = totals.engine_failures + totals.wrong_outputs;
-  report.correct = failures == 0;
-  report.status = totals.engine_failures == 0 ? "success" : "mixed";
+  RunReport report =
+      sweep_report("exhaustive(threads=1, memoize)", totals.executions,
+                   totals.engine_failures, totals.wrong_outputs);
   std::ostringstream os;
-  os << "protocol   " << protocol.name() << " ("
-     << model_name(protocol.model_class()) << "["
-     << protocol.message_bit_limit(g.node_count()) << " bits])\n";
-  os << "graph      n=" << g.node_count() << " m=" << g.edge_count() << "\n";
+  describe_protocol(os, *c.protocol, g);
   os << "adversary  " << report.adversary << " — " << totals.states_explored
      << " states, " << totals.memo_hits << " memo hits, "
      << totals.terminals_visited << " terminals visited\n";
@@ -324,31 +273,29 @@ std::vector<RunReport> run_exhaustive_memoized(const P& protocol,
                                  totals.wrong_outputs, totals.distinct,
                                  ropts.distinct);
   report.summary = os.str();
-  return {std::move(report)};
+  return report;
 }
 
-/// Exhaustive plan: one report aggregating every adversary schedule, from a
+/// Exhaustive sweep: one report aggregating every adversary schedule, from a
 /// SINGLE sweep — output validation and the distinct-board tally share one
-/// visitor instead of exploring the n! tree twice. The check callback is
-/// invoked concurrently from pool workers — it only reads the (const)
-/// graph/protocol and writes to per-worker sinks and per-task accumulators,
-/// so the shared state is the atomic tallies (and the counterexample
-/// tracker's mutex, touched only on failures). Distinct boards stream
-/// through one DistinctAccumulator per subtree task (exact sorted-run dedup
-/// or an hll sketch, per ropts.distinct) folded by the accumulator's
-/// order-oblivious merge — the same aggregation shape shard::run_shard uses.
-template <typename P, typename Check>
-std::vector<RunReport> run_exhaustive(const P& protocol, const Graph& g,
-                                      const ExhaustiveRunOptions& ropts,
-                                      const Check& check) {
+/// visitor instead of exploring the n! tree twice. The visitor runs
+/// concurrently on pool workers; the shared state is the atomic tallies
+/// (and the counterexample tracker's mutex, touched only on failures).
+/// Distinct boards stream through one DistinctAccumulator per subtree task
+/// (exact sorted-run dedup or an hll sketch, per ropts.distinct) folded by
+/// the accumulator's order-oblivious merge — the same aggregation shape
+/// shard::run_shard uses.
+RunReport run_exhaustive(const ProtocolCase& c, const Graph& g,
+                         const ExhaustiveRunOptions& ropts) {
   if (ropts.memoize) {
     // First, so memoize+faults misuse hits the memoized runner's loud
     // rejection instead of silently dropping the flag.
-    return run_exhaustive_memoized(protocol, g, ropts, check);
+    return run_exhaustive_memoized(c, g, ropts);
   }
   if (ropts.faults.kind != FaultKind::kNone || ropts.statistical_trials > 0) {
-    return run_exhaustive_faulty(protocol, g, ropts, check);
+    return run_exhaustive_faulty(c, g, ropts);
   }
+  const Protocol& protocol = *c.protocol;
   ExhaustiveOptions opts;
   opts.threads = ropts.threads;
   opts.max_executions = ropts.max_executions;
@@ -379,11 +326,7 @@ std::vector<RunReport> run_exhaustive(const P& protocol, const Graph& g,
           }
           return true;
         }
-        // The verdict text is discarded; seekp(0) reuses the worker's buffer
-        // so the hot loop stays allocation-free after warmup.
-        thread_local std::ostringstream sink;
-        sink.seekp(0);
-        if (!check(protocol.output(r.board, g.node_count()), sink)) {
+        if (!judge(c, r.board)) {
           wrong_outputs.fetch_add(1, std::memory_order_relaxed);
           if (ropts.counterexample) {
             cx.record(r, "wrong-output");
@@ -403,24 +346,14 @@ std::vector<RunReport> run_exhaustive(const P& protocol, const Graph& g,
     distinct = total->estimate();
   }
 
-  RunReport report;
-  report.executed = true;
-  report.adversary =
-      "exhaustive(threads=" + std::to_string(opts.threads) + ")";
-  report.executions = executions;
-  report.engine_failures = engine_failures.load();
-  report.wrong_outputs = wrong_outputs.load();
-  const std::uint64_t failures = engine_failures.load() + wrong_outputs.load();
-  report.correct = failures == 0;
-  report.status = engine_failures.load() == 0 ? "success" : "mixed";
+  RunReport report = sweep_report(
+      "exhaustive(threads=" + std::to_string(opts.threads) + ")", executions,
+      engine_failures.load(), wrong_outputs.load());
   std::ostringstream os;
-  os << "protocol   " << protocol.name() << " ("
-     << model_name(protocol.model_class()) << "["
-     << protocol.message_bit_limit(g.node_count()) << " bits])\n";
-  os << "graph      n=" << g.node_count() << " m=" << g.edge_count() << "\n";
+  describe_protocol(os, protocol, g);
   os << "adversary  " << report.adversary << "\n";
-  os << exhaustive_summary_lines(executions, engine_failures.load(),
-                                 wrong_outputs.load(), distinct,
+  os << exhaustive_summary_lines(executions, report.engine_failures,
+                                 report.wrong_outputs, distinct,
                                  ropts.distinct);
   if (ropts.counterexample) {
     if (cx.found) {
@@ -436,157 +369,7 @@ std::vector<RunReport> run_exhaustive(const P& protocol, const Graph& g,
     }
   }
   report.summary = os.str();
-  return {std::move(report)};
-}
-
-/// Sharded plan, run phase: sweep exactly the spec's subtree prefixes with
-/// the same validation callback the exhaustive runner uses, depositing the
-/// ShardResult through the request's out-pointer.
-template <typename P, typename Check>
-std::vector<RunReport> run_shard_typed(const P& protocol, const Graph& g,
-                                       const ShardRunRequest& req,
-                                       const Check& check) {
-  const std::size_t n = g.node_count();
-  *req.out = shard::run_shard(*req.spec, protocol,
-                              make_fault_classifier(protocol, g, check),
-                              req.threads);
-  const shard::ShardResult& result = *req.out;
-
-  RunReport report;
-  report.executed = true;
-  report.adversary = "shard(" + std::to_string(result.shard_index) + "/" +
-                     std::to_string(result.shard_count) + ")";
-  report.correct = !result.budget_exceeded && result.engine_failures == 0 &&
-                   result.wrong_outputs == 0;
-  report.status = result.budget_exceeded ? "budget-exceeded" : "success";
-  std::ostringstream os;
-  os << "protocol   " << protocol.name() << " ("
-     << model_name(protocol.model_class()) << "["
-     << protocol.message_bit_limit(n) << " bits])\n";
-  os << "graph      n=" << n << " m=" << g.edge_count() << "\n";
-  os << "adversary  " << report.adversary << " — ";
-  if (result.faults.kind == FaultKind::kAdaptive) {
-    os << "statistical stride " << result.shard_index << "/"
-       << result.shard_count << " of " << result.faults.trials << " trials\n";
-  } else if (result.faults.kind != FaultKind::kNone) {
-    os << req.spec->fault_tasks.size() << " fault subtree prefixes\n";
-  } else {
-    os << req.spec->prefixes.size() << " subtree prefixes\n";
-  }
-  if (result.budget_exceeded) {
-    os << "schedules  budget of " << result.max_executions
-       << " executions exceeded by this shard alone\n";
-  } else if (result.faults.kind == FaultKind::kAdaptive) {
-    os << "schedules  " << result.executions
-       << " sampled trials (statistical sweep)\n";
-    const VerdictAccumulator verdict(result.verdict_trials,
-                                     result.verdict_failures);
-    os << "verdict    " << verdict_summary(verdict) << "\n";
-  } else {
-    const std::uint64_t distinct =
-        result.distinct.kind == DistinctKind::kExact
-            ? result.board_hashes.size()
-            : (result.hll.has_value() ? result.hll->estimate() : 0);
-    os << exhaustive_summary_lines(result.executions, result.engine_failures,
-                                   result.wrong_outputs, distinct,
-                                   result.distinct);
-  }
-  report.summary = os.str();
-  return {std::move(report)};
-}
-
-/// Run a typed protocol under every strategy of `plan` (all execution goes
-/// through the batch engine) and validate each run with `check(output)`.
-template <typename P, typename Check>
-std::vector<RunReport> run_typed(const P& protocol, const Graph& g,
-                                 const RunPlan& plan, const Check& check) {
-  if (plan.shard_plan != nullptr) {
-    *plan.shard_plan->out =
-        shard::plan_shards(g, protocol, plan.shard_plan->protocol_spec,
-                           plan.shard_plan->shard_count,
-                           plan.shard_plan->options);
-    return {};
-  }
-  if (plan.shard_run != nullptr) {
-    return run_shard_typed(protocol, g, *plan.shard_run, check);
-  }
-  if (plan.exhaustive != nullptr) {
-    return run_exhaustive(protocol, g, *plan.exhaustive, check);
-  }
-  if (plan.symbolic != nullptr) {
-    return run_symbolic(protocol, g, *plan.symbolic, check);
-  }
-  std::vector<BatteryRun> runs;
-  if (plan.single != nullptr) {
-    Trial t;
-    t.graph = &g;
-    t.protocol = &protocol;
-    t.adversary = plan.single;
-    runs.push_back(BatteryRun{
-        plan.single->name(),
-        std::move(run_batch(std::span<const Trial>(&t, 1), plan.batch)
-                      .front())});
-  } else {
-    runs = run_standard_battery(g, protocol, plan.seed, plan.batch);
-  }
-
-  std::vector<RunReport> reports;
-  reports.reserve(runs.size());
-  for (const BatteryRun& run : runs) {
-    const ExecutionResult& r = run.result;
-    RunReport report;
-    report.adversary = run.adversary;
-    std::ostringstream os;
-    describe_run(os, g, protocol, run.adversary, r);
-    report.executed = true;
-    report.status = std::string(status_name(r.status));
-    if (r.ok()) {
-      const auto out = protocol.output(r.board, g.node_count());
-      report.correct = check(out, os);
-    } else {
-      os << "verdict    (no output: run not successful)\n";
-    }
-    report.summary = os.str();
-    reports.push_back(std::move(report));
-  }
-  return reports;
-}
-
-std::vector<RunReport> run_build(const Graph& g, const RunPlan& plan,
-                                 const ProtocolWithOutput<BuildOutput>& p) {
-  return run_typed(p, g, plan, [&](const BuildOutput& out, std::ostringstream& os) {
-    if (!out.has_value()) {
-      os << "verdict    rejected (input outside promised class)\n";
-      // Rejection is the *correct* answer when the input is truly outside.
-      return true;
-    }
-    const bool exact = *out == g;
-    os << "verdict    reconstructed " << out->edge_count() << " edges — "
-       << (exact ? "exact" : "WRONG") << "\n";
-    return exact;
-  });
-}
-
-std::vector<RunReport> run_bfs(const Graph& g, const RunPlan& plan,
-                               const ProtocolWithOutput<BfsProtocolOutput>& p) {
-  // Computed once, not per run: the exhaustive plan invokes the check for
-  // every schedule, and the reference forest only depends on g.
-  const BfsForest ref = bfs_forest(g);
-  const bool eob = is_even_odd_bipartite(g);
-  return run_typed(p, g, plan,
-                   [&g, ref, eob](const BfsProtocolOutput& out,
-                                  std::ostringstream& os) {
-                     if (!out.valid) {
-                       os << "verdict    input reported invalid\n";
-                       return !eob;
-                     }
-                     const bool ok = out.layer == ref.layer &&
-                                     is_valid_bfs_forest(g, out.layer,
-                                                         out.parent);
-                     os << "verdict    BFS forest with " << out.roots.size()
-                        << " roots — " << (ok ? "valid" : "WRONG") << "\n";
-                     return ok;
-                   });
+  return report;
 }
 
 /// Deliberately-broken negative-testing fixture (spec `broken-first:V`):
@@ -617,84 +400,114 @@ class FirstWriterProtocol final : public SimAsyncProtocol<NodeId> {
   [[nodiscard]] std::string name() const override { return "broken-first"; }
 };
 
-std::vector<RunReport> dispatch_spec(const std::string& spec, const Graph& g,
-                                     const RunPlan& plan) {
+/// Check of a yes/no decision problem against its precomputed answer.
+auto yes_no_check(bool truth) {
+  return [truth](bool out, std::ostream& os) {
+    os << "verdict    " << (out ? "YES" : "NO") << " (truth: "
+       << (truth ? "YES" : "NO") << ")\n";
+    return out == truth;
+  };
+}
+
+/// Reconstruction check shared by the build protocols.
+auto build_check(const Graph& g) {
+  return [&g](const BuildOutput& out, std::ostream& os) {
+    if (!out.has_value()) {
+      os << "verdict    rejected (input outside promised class)\n";
+      // Rejection is the *correct* answer when the input is truly outside.
+      return true;
+    }
+    const bool exact = *out == g;
+    os << "verdict    reconstructed " << out->edge_count() << " edges — "
+       << (exact ? "exact" : "WRONG") << "\n";
+    return exact;
+  };
+}
+
+/// BFS-forest check shared by the BFS protocols. The reference forest only
+/// depends on g, so it is computed once, not per schedule.
+auto bfs_check(const Graph& g) {
+  return [&g, ref = bfs_forest(g), eob = is_even_odd_bipartite(g)](
+             const BfsProtocolOutput& out, std::ostream& os) {
+    if (!out.valid) {
+      os << "verdict    input reported invalid\n";
+      return !eob;
+    }
+    const bool ok =
+        out.layer == ref.layer && is_valid_bfs_forest(g, out.layer, out.parent);
+    os << "verdict    BFS forest with " << out.roots.size() << " roots — "
+       << (ok ? "valid" : "WRONG") << "\n";
+    return ok;
+  };
+}
+
+/// Construct the protocol `spec` names on `g`, with its reference check.
+/// References that only depend on g are computed here, once per case, and
+/// captured by value.
+ProtocolCase make_case(const std::string& spec, const Graph& g) {
   const auto parts = split_spec(spec);
   const std::string& kind = parts[0];
   const std::size_t n = g.node_count();
 
   if (kind == "build-forest") {
-    return run_build(g, plan, BuildForestProtocol{});
+    return make(BuildForestProtocol{}, g, build_check(g));
   }
   if (kind == "build-degenerate") {
     WB_REQUIRE_MSG(parts.size() == 2, "expected build-degenerate:K");
     const int k = static_cast<int>(parse_u64(parts[1], "K"));
-    return run_build(g, plan, BuildDegenerateProtocol{k});
+    return make(BuildDegenerateProtocol{k}, g, build_check(g));
   }
   if (kind == "build-full") {
-    const BuildFullProtocol p;
-    return run_typed(p, g, plan,
-                     [&](const Graph& out, std::ostringstream& os) {
-                       const bool exact = out == g;
-                       os << "verdict    reconstructed " << out.edge_count()
-                          << " edges — " << (exact ? "exact" : "WRONG") << "\n";
-                       return exact;
-                     });
+    return make(BuildFullProtocol{}, g,
+                [&g](const Graph& out, std::ostream& os) {
+                  const bool exact = out == g;
+                  os << "verdict    reconstructed " << out.edge_count()
+                     << " edges — " << (exact ? "exact" : "WRONG") << "\n";
+                  return exact;
+                });
   }
   if (kind == "mis") {
     WB_REQUIRE_MSG(parts.size() == 2, "expected mis:ROOT");
     const NodeId root = static_cast<NodeId>(parse_u64(parts[1], "root"));
     WB_REQUIRE_MSG(root >= 1 && root <= n, "root out of range");
-    const RootedMisProtocol p(root);
-    return run_typed(p, g, plan,
-                     [&](const MisOutput& out, std::ostringstream& os) {
-                       const bool ok = is_rooted_mis(g, out, root);
-                       os << "verdict    |MIS| = " << out.size() << " — "
-                          << (ok ? "valid rooted MIS" : "WRONG") << "\n";
-                       return ok;
-                     });
+    return make(RootedMisProtocol(root), g,
+                [&g, root](const MisOutput& out, std::ostream& os) {
+                  const bool ok = is_rooted_mis(g, out, root);
+                  os << "verdict    |MIS| = " << out.size() << " — "
+                     << (ok ? "valid rooted MIS" : "WRONG") << "\n";
+                  return ok;
+                });
   }
   if (kind == "two-cliques" || kind == "rand-two-cliques") {
     const bool truth = is_two_cliques(g);  // once, not per schedule
-    auto check = [truth](const TwoCliquesOutput& out, std::ostringstream& os) {
-      os << "verdict    " << (out.yes ? "YES" : "NO") << " (truth: "
-         << (truth ? "YES" : "NO") << ")\n";
-      return out.yes == truth;
+    auto check = [yes_no = yes_no_check(truth)](const TwoCliquesOutput& out,
+                                                std::ostream& os) {
+      return yes_no(out.yes, os);
     };
-    if (kind == "two-cliques") {
-      return run_typed(TwoCliquesProtocol{}, g, plan, check);
-    }
+    if (kind == "two-cliques") return make(TwoCliquesProtocol{}, g, check);
     WB_REQUIRE_MSG(parts.size() == 2, "expected rand-two-cliques:SEED");
-    return run_typed(
-        RandomizedTwoCliquesProtocol{parse_u64(parts[1], "seed")}, g, plan,
-        check);
+    return make(RandomizedTwoCliquesProtocol{parse_u64(parts[1], "seed")}, g,
+                check);
   }
-  if (kind == "eob-bfs") {
-    return run_bfs(g, plan, EobBfsProtocol{});
-  }
+  if (kind == "eob-bfs") return make(EobBfsProtocol{}, g, bfs_check(g));
   if (kind == "bipartite-bfs") {
-    return run_bfs(g, plan, EobBfsProtocol{EobMode::kBipartiteNoCheck});
+    return make(EobBfsProtocol{EobMode::kBipartiteNoCheck}, g, bfs_check(g));
   }
-  if (kind == "sync-bfs") {
-    return run_bfs(g, plan, SyncBfsProtocol{});
-  }
+  if (kind == "sync-bfs") return make(SyncBfsProtocol{}, g, bfs_check(g));
   if (kind == "subgraph") {
     WB_REQUIRE_MSG(parts.size() == 2, "expected subgraph:F");
     const std::size_t f = parse_u64(parts[1], "F");
-    const SubgraphProtocol p(f);
-    GraphBuilder expect_builder(n);  // reference subgraph: once, not per run
+    GraphBuilder expect(n);  // reference subgraph: once, not per run
     for (const Edge& e : g.edges()) {
-      if (e.u <= f && e.v <= f) expect_builder.add_edge(e.u, e.v);
+      if (e.u <= f && e.v <= f) expect.add_edge(e.u, e.v);
     }
-    const Graph expect = expect_builder.build();
-    return run_typed(p, g, plan,
-                     [&expect](const Graph& out, std::ostringstream& os) {
-                       const bool ok = out == expect;
-                       os << "verdict    prefix subgraph with "
-                          << out.edge_count() << " edges — "
-                          << (ok ? "exact" : "WRONG") << "\n";
-                       return ok;
-                     });
+    return make(SubgraphProtocol(f), g,
+                [expect = expect.build()](const Graph& out, std::ostream& os) {
+                  const bool ok = out == expect;
+                  os << "verdict    prefix subgraph with " << out.edge_count()
+                     << " edges — " << (ok ? "exact" : "WRONG") << "\n";
+                  return ok;
+                });
   }
   if (kind == "krz-triangle") {
     WB_REQUIRE_MSG(parts.size() == 3, "expected krz-triangle:NUM/DEN:SEED");
@@ -705,109 +518,87 @@ std::vector<RunReport> dispatch_spec(const std::string& spec, const Graph& g,
     // is exact agreement with *that*; the ε-error behavior (missing the
     // real triangle with probability 1 - q^3) shows up when the seed is
     // varied across statistical trials (tests/wb/faults_test.cpp).
-    GraphBuilder sampled_builder(n);
+    GraphBuilder sampled(n);
     for (const Edge& e : g.edges()) {
-      if (p.edge_sampled(e.u, e.v)) sampled_builder.add_edge(e.u, e.v);
+      if (p.edge_sampled(e.u, e.v)) sampled.add_edge(e.u, e.v);
     }
-    const bool truth = has_triangle(sampled_builder.build());
-    return run_typed(p, g, plan, [&, truth](bool out, std::ostringstream& os) {
+    const bool truth = has_triangle(sampled.build());
+    return make(p, g, [truth](bool out, std::ostream& os) {
       os << "verdict    " << (out ? "TRIANGLE" : "none")
          << " (sampled truth: " << (truth ? "TRIANGLE" : "none") << ")\n";
       return out == truth;
     });
   }
-  if (kind == "triangle-oracle" || kind == "pair-chase") {
-    const bool truth = has_triangle(g);
-    if (kind == "triangle-oracle") {
-      const TriangleOracleProtocol p;
-      return run_typed(p, g, plan,
-                       [&](bool out, std::ostringstream& os) {
-                         os << "verdict    " << (out ? "TRIANGLE" : "none")
-                            << " (truth: " << (truth ? "TRIANGLE" : "none")
-                            << ")\n";
-                         return out == truth;
-                       });
-    }
-    const TrianglePairChaseProtocol p(0);
-    return run_typed(p, g, plan,
-                     [&](TriangleVerdict v, std::ostringstream& os) {
-                       const char* verdict =
-                           v == TriangleVerdict::kYes
-                               ? "TRIANGLE"
-                               : (v == TriangleVerdict::kNo ? "none"
-                                                            : "unknown");
-                       os << "verdict    " << verdict << " (truth: "
-                          << (truth ? "TRIANGLE" : "none") << ")\n";
-                       // Soundness requirement only: kYes must imply truth.
-                       return v != TriangleVerdict::kYes || truth;
-                     });
+  if (kind == "triangle-oracle") {
+    return make(TriangleOracleProtocol{}, g,
+                [truth = has_triangle(g)](bool out, std::ostream& os) {
+                  os << "verdict    " << (out ? "TRIANGLE" : "none")
+                     << " (truth: " << (truth ? "TRIANGLE" : "none") << ")\n";
+                  return out == truth;
+                });
+  }
+  if (kind == "pair-chase") {
+    return make(
+        TrianglePairChaseProtocol(0), g,
+        [truth = has_triangle(g)](TriangleVerdict v, std::ostream& os) {
+          const char* verdict =
+              v == TriangleVerdict::kYes
+                  ? "TRIANGLE"
+                  : (v == TriangleVerdict::kNo ? "none" : "unknown");
+          os << "verdict    " << verdict << " (truth: "
+             << (truth ? "TRIANGLE" : "none") << ")\n";
+          // Soundness requirement only: kYes must imply truth.
+          return v != TriangleVerdict::kYes || truth;
+        });
   }
   if (kind == "broken-first") {
     WB_REQUIRE_MSG(parts.size() == 2, "expected broken-first:V");
     const NodeId want = static_cast<NodeId>(parse_u64(parts[1], "V"));
     WB_REQUIRE_MSG(want >= 1 && want <= n, "V out of range");
-    const FirstWriterProtocol p;
-    return run_typed(p, g, plan,
-                     [want](NodeId out, std::ostringstream& os) {
-                       const bool ok = out == want;
-                       os << "verdict    first writer " << out << " (want "
-                          << want << ") — " << (ok ? "as planted" : "WRONG")
-                          << "\n";
-                       return ok;
-                     });
+    return make(FirstWriterProtocol{}, g, [want](NodeId out, std::ostream& os) {
+      const bool ok = out == want;
+      os << "verdict    first writer " << out << " (want " << want << ") — "
+         << (ok ? "as planted" : "WRONG") << "\n";
+      return ok;
+    });
   }
   if (kind == "anon-degree") {
-    const AnonDegreeProtocol p;
     AnonDegreeOutput expect;  // sorted degree multiset: once, not per run
     expect.reserve(n);
     for (NodeId v = 1; v <= n; ++v) expect.push_back(g.degree(v));
     std::sort(expect.begin(), expect.end());
-    return run_typed(p, g, plan,
-                     [expect = std::move(expect)](const AnonDegreeOutput& out,
-                                                  std::ostringstream& os) {
-                       const bool ok = out == expect;
-                       os << "verdict    " << out.size()
-                          << " anonymous degrees — "
-                          << (ok ? "exact multiset" : "WRONG") << "\n";
-                       return ok;
-                     });
+    return make(AnonDegreeProtocol{}, g,
+                [expect = std::move(expect)](const AnonDegreeOutput& out,
+                                             std::ostream& os) {
+                  const bool ok = out == expect;
+                  os << "verdict    " << out.size() << " anonymous degrees — "
+                     << (ok ? "exact multiset" : "WRONG") << "\n";
+                  return ok;
+                });
   }
   if (kind == "spanning-forest") {
-    const SpanningForestProtocol p;
-    return run_typed(p, g, plan,
-                     [&](const SpanningForestOutput& out,
-                         std::ostringstream& os) {
-                       const bool ok = is_spanning_forest_of(g, out);
-                       os << "verdict    " << out.edges.size() << " tree edges, "
-                          << out.components << " components, connected="
-                          << (out.connected ? "yes" : "no") << " — "
-                          << (ok ? "valid" : "WRONG") << "\n";
-                       return ok;
-                     });
+    return make(SpanningForestProtocol{}, g,
+                [&g](const SpanningForestOutput& out, std::ostream& os) {
+                  const bool ok = is_spanning_forest_of(g, out);
+                  os << "verdict    " << out.edges.size() << " tree edges, "
+                     << out.components << " components, connected="
+                     << (out.connected ? "yes" : "no") << " — "
+                     << (ok ? "valid" : "WRONG") << "\n";
+                  return ok;
+                });
   }
-  if (kind == "square-oracle" || kind == "connectivity-oracle" ||
-      kind == "diameter-oracle") {
-    PropertyOracleProtocol p =
-        kind == "square-oracle"
-            ? square_oracle()
-            : (kind == "connectivity-oracle"
-                   ? connectivity_oracle()
-                   : diameter_at_most_oracle(static_cast<int>(
-                         parse_u64(parts.size() == 2 ? parts[1] : "3", "D"))));
-    const bool truth =
-        kind == "square-oracle"
-            ? has_square(g)
-            : (kind == "connectivity-oracle"
-                   ? is_connected(g)
-                   : (diameter(g) >= 0 &&
-                      diameter(g) <= static_cast<int>(parse_u64(
-                                         parts.size() == 2 ? parts[1] : "3",
-                                         "D"))));
-    return run_typed(p, g, plan, [&](bool out, std::ostringstream& os) {
-      os << "verdict    " << (out ? "YES" : "NO") << " (truth: "
-         << (truth ? "YES" : "NO") << ")\n";
-      return out == truth;
-    });
+  if (kind == "square-oracle") {
+    return make(square_oracle(), g, yes_no_check(has_square(g)));
+  }
+  if (kind == "connectivity-oracle") {
+    return make(connectivity_oracle(), g, yes_no_check(is_connected(g)));
+  }
+  if (kind == "diameter-oracle") {
+    const int d = static_cast<int>(
+        parse_u64(parts.size() == 2 ? parts[1] : "3", "D"));
+    const int diam = diameter(g);
+    return make(diameter_at_most_oracle(d), g,
+                yes_no_check(diam >= 0 && diam <= d));
   }
   WB_REQUIRE_MSG(false,
                  "unknown protocol '" << kind << "'\n" << protocol_spec_help());
@@ -818,70 +609,83 @@ std::vector<RunReport> dispatch_spec(const std::string& spec, const Graph& g,
 
 RunReport run_protocol_spec(const std::string& spec, const Graph& g,
                             Adversary& adversary) {
-  RunPlan plan;
-  plan.single = &adversary;
-  return std::move(dispatch_spec(spec, g, plan).front());
+  const ProtocolCase c = make_case(spec, g);
+  Trial t;
+  t.graph = &g;
+  t.protocol = c.protocol.get();
+  t.adversary = &adversary;
+  BatteryRun run{adversary.name(),
+                 std::move(run_batch(std::span<const Trial>(&t, 1)).front())};
+  return report_run(c, g, run);
 }
 
 std::vector<RunReport> run_protocol_spec_battery(const std::string& spec,
                                                  const Graph& g,
                                                  std::uint64_t seed,
                                                  const BatchOptions& opts) {
-  RunPlan plan;
-  plan.seed = seed;
-  plan.batch = opts;
-  return dispatch_spec(spec, g, plan);
+  const ProtocolCase c = make_case(spec, g);
+  std::vector<RunReport> reports;
+  for (const BatteryRun& run :
+       run_standard_battery(g, *c.protocol, seed, opts)) {
+    reports.push_back(report_run(c, g, run));
+  }
+  return reports;
 }
 
 RunReport run_protocol_spec_exhaustive(const std::string& spec, const Graph& g,
                                        const ExhaustiveRunOptions& opts) {
-  RunPlan plan;
-  plan.exhaustive = &opts;
-  return std::move(dispatch_spec(spec, g, plan).front());
+  return run_exhaustive(make_case(spec, g), g, opts);
 }
 
-RunReport run_protocol_spec_exhaustive(const std::string& spec, const Graph& g,
-                                       std::size_t threads,
-                                       std::uint64_t max_executions) {
-  ExhaustiveRunOptions opts;
-  opts.threads = threads;
-  opts.max_executions = max_executions;
-  return run_protocol_spec_exhaustive(spec, g, opts);
-}
-
+/// Symbolic sweep (src/sym/reach.h): the serial enumerator's exact
+/// schedules/distinct/verdict accounting from a BDD fixpoint, enumerating
+/// zero schedules. The frontier engine calls the case's check once per
+/// distinct final state; the circuit engine carries its own
+/// decoded-incorrect set and never calls it — equivalence of the two is
+/// pinned by tests/sym/sym_equiv_test.cpp.
 RunReport run_protocol_spec_symbolic(const std::string& spec, const Graph& g,
-                                     const SymbolicRunOptions& opts) {
-  RunPlan plan;
-  plan.symbolic = &opts;
-  return std::move(dispatch_spec(spec, g, plan).front());
+                                     const sym::SymbolicOptions& opts) {
+  const ProtocolCase c = make_case(spec, g);
+  const sym::SymbolicTotals totals = sym::symbolic_sweep(
+      g, *c.protocol,
+      [&c](const ExecutionResult& r) { return judge(c, r.board); }, opts);
+
+  RunReport report = sweep_report(
+      "symbolic(order=" + sym::to_string(opts.order) +
+          ", engine=" + sym::to_string(totals.engine) + ")",
+      totals.executions, totals.engine_failures, totals.wrong_outputs);
+  std::ostringstream os;
+  describe_protocol(os, *c.protocol, g);
+  os << "adversary  " << report.adversary << " — " << totals.vars << " vars, "
+     << totals.layers << " layers, 0 schedules enumerated\n";
+  // DistinctConfig{} (exact): the symbolic distinct count is exact by
+  // construction, and the default config keeps these lines byte-identical
+  // to the `exhaustive:1` oracle's — what the CI smoke diffs.
+  os << exhaustive_summary_lines(totals.executions, totals.engine_failures,
+                                 totals.wrong_outputs, totals.distinct,
+                                 DistinctConfig{});
+  os << "bdd        " << totals.bdd.nodes << " nodes, " << totals.bdd.cache_hits
+     << "/" << totals.bdd.cache_lookups << " cache hits";
+  if (totals.engine == sym::SymEngine::kFrontier) {
+    os << ", " << totals.states << " frontier states";
+  }
+  os << "\n";
+  report.summary = os.str();
+  return report;
 }
 
 std::vector<shard::ShardSpec> plan_protocol_spec_shards(
     const std::string& protocol_spec, const Graph& g, std::size_t shard_count,
     const shard::PlanOptions& opts) {
-  std::vector<shard::ShardSpec> specs;
-  ShardPlanRequest request;
-  request.shard_count = shard_count;
-  request.options = opts;
-  request.protocol_spec = protocol_spec;
-  request.out = &specs;
-  RunPlan plan;
-  plan.shard_plan = &request;
-  (void)dispatch_spec(protocol_spec, g, plan);
-  return specs;
+  return shard::plan_shards(g, *make_case(protocol_spec, g).protocol,
+                            protocol_spec, shard_count, opts);
 }
 
 shard::ShardResult run_protocol_spec_shard(const shard::ShardSpec& spec,
                                            std::size_t threads) {
-  shard::ShardResult result;
-  ShardRunRequest request;
-  request.spec = &spec;
-  request.threads = threads;
-  request.out = &result;
-  RunPlan plan;
-  plan.shard_run = &request;
-  (void)dispatch_spec(spec.protocol_spec, spec.graph, plan);
-  return result;
+  const ProtocolCase c = make_case(spec.protocol_spec, spec.graph);
+  return shard::run_shard(spec, *c.protocol, make_fault_classifier(c),
+                          threads);
 }
 
 std::string exhaustive_summary_lines(std::uint64_t executions,

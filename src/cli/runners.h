@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "src/graph/graph.h"
-#include "src/sym/encode.h"
+#include "src/sym/reach.h"
 #include "src/wb/adversary.h"
 #include "src/wb/batch.h"
 #include "src/wb/shard.h"
@@ -99,16 +99,6 @@ struct ExhaustiveRunOptions {
     const std::string& protocol_spec, const Graph& g,
     const ExhaustiveRunOptions& opts);
 
-/// Convenience overload matching the historical signature.
-[[nodiscard]] RunReport run_protocol_spec_exhaustive(
-    const std::string& protocol_spec, const Graph& g, std::size_t threads = 0,
-    std::uint64_t max_executions = 2'000'000);
-
-struct SymbolicRunOptions {
-  sym::VarOrder order = sym::VarOrder::kInterleave;
-  sym::SymEngine engine = sym::SymEngine::kAuto;
-};
-
 /// Validate `protocol_spec` on `g` with the symbolic (BDD) backend
 /// (src/sym/reach.h): the same exact schedules/distinct/verdict accounting
 /// as run_protocol_spec_exhaustive with threads=1, computed without
@@ -116,7 +106,7 @@ struct SymbolicRunOptions {
 /// classes and options the backend refuses (CLI exit 2).
 [[nodiscard]] RunReport run_protocol_spec_symbolic(
     const std::string& protocol_spec, const Graph& g,
-    const SymbolicRunOptions& opts = {});
+    const sym::SymbolicOptions& opts = {});
 
 /// Plan a sharded exhaustive sweep: construct the protocol named by
 /// `protocol_spec`, partition its schedule tree on `g`, and distribute the

@@ -8,6 +8,13 @@
 namespace wb::cli {
 namespace {
 
+/// Exhaustive options for a `threads`-worker sweep, everything else default.
+ExhaustiveRunOptions on_threads(std::size_t threads) {
+  ExhaustiveRunOptions opts;
+  opts.threads = threads;
+  return opts;
+}
+
 RunReport run(const std::string& graph, const std::string& protocol,
               const std::string& adversary = "first") {
   const Graph g = graph_from_spec(graph);
@@ -47,7 +54,8 @@ TEST(Runners, EveryProtocolSpecSmokeTest) {
 
 TEST(Runners, ExhaustiveSpecSweepsEverySchedule) {
   const Graph g = graph_from_spec("twocliques:3");  // 6 nodes, 6! schedules
-  const RunReport serial = run_protocol_spec_exhaustive("two-cliques", g, 1);
+  const RunReport serial =
+      run_protocol_spec_exhaustive("two-cliques", g, on_threads(1));
   EXPECT_TRUE(serial.executed);
   EXPECT_TRUE(serial.correct) << serial.summary;
   EXPECT_EQ(serial.status, "success");
@@ -56,7 +64,7 @@ TEST(Runners, ExhaustiveSpecSweepsEverySchedule) {
   // Parallel sweeps must report the same totals as the serial oracle.
   for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
     const RunReport par =
-        run_protocol_spec_exhaustive("two-cliques", g, threads);
+        run_protocol_spec_exhaustive("two-cliques", g, on_threads(threads));
     EXPECT_TRUE(par.correct) << par.summary;
     EXPECT_NE(par.summary.find("720 executions"), std::string::npos)
         << par.summary;
@@ -70,9 +78,10 @@ TEST(Runners, ExhaustiveSpecReportsFailures) {
   // sync-bfs expects its gated activations; a deadlocking toy is not
   // reachable via specs, so assert the budget guard instead.
   const Graph g = graph_from_spec("cgnp:12:1/3:5");
-  EXPECT_THROW(
-      (void)run_protocol_spec_exhaustive("mis:4", g, 0, /*max_executions=*/10),
-      LogicError);
+  ExhaustiveRunOptions opts;
+  opts.max_executions = 10;
+  EXPECT_THROW((void)run_protocol_spec_exhaustive("mis:4", g, opts),
+               LogicError);
 }
 
 TEST(Runners, CounterexampleFindsSmallestPrefixFailingSchedule) {
@@ -115,7 +124,8 @@ TEST(Runners, ShardedSweepReproducesTheExhaustiveReportLines) {
   // threads=1 exhaustive report — which is exactly what the CI smoke job
   // diffs across real processes.
   const Graph g = graph_from_spec("twocliques:3");  // 6 nodes, 720 schedules
-  const RunReport serial = run_protocol_spec_exhaustive("two-cliques", g, 1);
+  const RunReport serial =
+      run_protocol_spec_exhaustive("two-cliques", g, on_threads(1));
   const auto specs = plan_protocol_spec_shards("two-cliques", g, 3);
   ASSERT_EQ(specs.size(), 3u);
   std::vector<shard::ShardResult> results;
@@ -156,7 +166,8 @@ TEST(Runners, HllExhaustiveReportMarksTheEstimateAndStaysDeterministic) {
         << "threads=" << threads;
   }
   // The exact report is untouched by the hll machinery: no tilde marker.
-  const RunReport exact = run_protocol_spec_exhaustive("two-cliques", g, 1);
+  const RunReport exact =
+      run_protocol_spec_exhaustive("two-cliques", g, on_threads(1));
   EXPECT_EQ(exact.summary.find("~"), std::string::npos) << exact.summary;
 }
 
@@ -191,7 +202,7 @@ TEST(Runners, ShardedSweepCountsWrongOutputsLikeTheExhaustiveReport) {
   // sharded tallies must agree with the serial exhaustive report exactly.
   const Graph g = graph_from_spec("path:4");
   const RunReport serial =
-      run_protocol_spec_exhaustive("broken-first:2", g, 1);
+      run_protocol_spec_exhaustive("broken-first:2", g, on_threads(1));
   const auto specs = plan_protocol_spec_shards("broken-first:2", g, 4);
   std::vector<shard::ShardResult> results;
   for (const auto& spec : specs) {

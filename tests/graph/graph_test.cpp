@@ -166,6 +166,33 @@ TEST(FromPairStream, RejectsNonDeterministicReplay) {
                LogicError);
 }
 
+TEST(FromPairStream, RejectsReplayWithTheSameCountButOtherPairs) {
+  // Pass 1 gives every node degree 1. Each replay has the same pair and arc
+  // counts, so only the scatter's own checks catch it: node 1 runs into
+  // node 2's unwritten block (the cursor bound), or node 2 writes over node
+  // 3's filled slot, which leaves node 4's slot empty (the final scan).
+  using Pairs = std::vector<std::pair<NodeId, NodeId>>;
+  const Pairs first = {{1, 2}, {3, 4}, {5, 6}};
+  for (const Pairs& replay : {Pairs{{1, 3}, {1, 4}, {5, 6}},
+                              Pairs{{2, 3}, {1, 2}, {5, 6}}}) {
+    int pass = 0;
+    const auto emit = [&](const Graph::PairSink& sink) {
+      for (const auto& [a, b] : ++pass == 1 ? first : replay) sink(a, b);
+    };
+    EXPECT_THROW((void)Graph::from_pair_stream(6, emit), LogicError);
+  }
+}
+
+TEST(FromPairStream, RejectsOutOfRangePairsOnReplay) {
+  int pass = 0;
+  EXPECT_THROW((void)Graph::from_pair_stream(
+                   2,
+                   [&](const Graph::PairSink& sink) {
+                     sink(1, ++pass == 1 ? 2 : 7);  // (1,7) on replay
+                   }),
+               LogicError);
+}
+
 TEST(FromPairStream, RejectsOutOfRangePairs) {
   EXPECT_THROW(
       (void)Graph::from_pair_stream(

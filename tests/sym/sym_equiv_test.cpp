@@ -36,7 +36,7 @@ RunReport serial_oracle(const char* protocol, const Graph& g) {
 }
 
 void expect_symbolic_matches(const char* graph, const char* protocol,
-                             const SymbolicRunOptions& opts = {}) {
+                             const sym::SymbolicOptions& opts = {}) {
   const Graph g = graph_from_spec(graph);
   const RunReport oracle = serial_oracle(protocol, g);
   const RunReport sym = run_protocol_spec_symbolic(protocol, g, opts);
@@ -70,7 +70,7 @@ TEST(SymEquiv, SymbolicMatchesTheSerialEnumerator) {
 TEST(SymEquiv, FrontierOnlyProtocolsMatch) {
   // SYNC (activation-gated) protocols have no circuit model; the explicit-
   // frontier engine must still reproduce the oracle bit-for-bit.
-  SymbolicRunOptions opts;
+  sym::SymbolicOptions opts;
   opts.engine = sym::SymEngine::kFrontier;
   const std::pair<const char*, const char*> cases[] = {
       {"cgnp:8:1/2:3", "sync-bfs"},
@@ -84,7 +84,7 @@ TEST(SymEquiv, FrontierOnlyProtocolsMatch) {
 
 TEST(SymEquiv, BothVariableOrdersAnswerIdentically) {
   for (const auto order : {sym::VarOrder::kInterleave, sym::VarOrder::kGrouped}) {
-    SymbolicRunOptions opts;
+    sym::SymbolicOptions opts;
     opts.order = order;
     expect_symbolic_matches("twocliques:3", "two-cliques", opts);
     expect_symbolic_matches("star:5", "anon-degree", opts);
@@ -96,9 +96,9 @@ TEST(SymEquiv, CircuitAndFrontierEnginesAgree) {
   // semantics; cross-check them against each other, not just the oracle.
   for (const char* protocol : {"two-cliques", "anon-degree"}) {
     const Graph g = graph_from_spec("twocliques:3");
-    SymbolicRunOptions circuit;
+    sym::SymbolicOptions circuit;
     circuit.engine = sym::SymEngine::kCircuit;
-    SymbolicRunOptions frontier;
+    sym::SymbolicOptions frontier;
     frontier.engine = sym::SymEngine::kFrontier;
     const RunReport a = run_protocol_spec_symbolic(protocol, g, circuit);
     const RunReport b = run_protocol_spec_symbolic(protocol, g, frontier);
@@ -134,7 +134,7 @@ TEST(SymEquiv, AsynchronousClassesAreRefused) {
 }
 
 TEST(SymEquiv, ForcedCircuitWithoutAModelIsRefused) {
-  SymbolicRunOptions opts;
+  sym::SymbolicOptions opts;
   opts.engine = sym::SymEngine::kCircuit;
   const Graph g = graph_from_spec("cgnp:8:1/2:3");
   EXPECT_THROW((void)run_protocol_spec_symbolic("sync-bfs", g, opts),

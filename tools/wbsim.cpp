@@ -855,7 +855,7 @@ int cmd_classic(const std::vector<std::string>& all_args) {
                    "(the symbolic backend enumerates no schedules)");
     const wb::cli::SymbolicSpec symbolic =
         wb::cli::symbolic_from_spec(adversary_spec);
-    wb::cli::SymbolicRunOptions opts;
+    wb::sym::SymbolicOptions opts;
     opts.order = symbolic.order;
     opts.engine = symbolic.engine;
     return print_report(wb::cli::run_protocol_spec_symbolic(args[1], g, opts));
