@@ -7,46 +7,45 @@
 
 namespace wb {
 
+namespace {
+
+void insert_sorted(std::vector<NodeId>& ids, NodeId v) {
+  ids.insert(std::lower_bound(ids.begin(), ids.end(), v), v);
+}
+
+void erase_sorted(std::vector<NodeId>& ids, NodeId v) {
+  ids.erase(std::lower_bound(ids.begin(), ids.end(), v));
+}
+
+}  // namespace
+
 EngineState::EngineState(const Graph& g, const Protocol& p, EngineOptions opts)
     : graph_(&g), protocol_(&p), opts_(opts), n_(g.node_count()),
-      locality_(p.frontier_locality()) {
+      model_(p.model_class()), locality_(p.frontier_locality()) {
   WB_CHECK_MSG(n_ >= 1, "protocols run on graphs with at least one node");
   if (opts_.max_rounds == 0) opts_.max_rounds = 2 * n_ + 8;
   state_.assign(n_, NodeState::kAwake);
-  if (is_asynchronous(p.model_class())) memory_.assign(n_, Bits{});
+  if (is_asynchronous(model_)) memory_.assign(n_, Bits{});
   written_.assign(n_, false);
   stats_.activation_round.assign(n_, 0);
   stats_.write_round.assign(n_, 0);
-  // Exactly n messages can ever be written; reserving up front makes a whole
-  // run (and every backtracked re-write) allocation-free on the board.
+  // Exactly n messages can ever be written and every node list holds at most
+  // n IDs; reserving up front makes a whole run (and every backtracked
+  // re-write) allocation-free on the board and the node sets.
   board_.reserve(n_);
   write_order_.reserve(n_);
   candidates_.reserve(n_);
-  if (opts_.frontier) {
-    awake_ids_.resize(n_);
-    std::iota(awake_ids_.begin(), awake_ids_.end(), NodeId{1});
-  }
+  activated_.reserve(n_);
+  awake_.resize(n_);
+  std::iota(awake_.begin(), awake_.end(), NodeId{1});
 }
 
 void EngineState::trace(TraceEvent::Kind kind, NodeId v) {
   if (opts_.record_trace) trace_.push_back(TraceEvent{round_, kind, v});
 }
 
-void EngineState::journal_state(NodeId v, NodeState old_state) {
-  if (!journaling_) return;
-  UndoRecord u;
-  u.kind = UndoRecord::Kind::kStateChange;
-  u.old_state = old_state;
-  u.node = v;
-  journal_.push_back(std::move(u));
-}
-
-void EngineState::journal_activation(NodeId v) {
-  if (!journaling_) return;
-  UndoRecord u;
-  u.kind = UndoRecord::Kind::kActivation;
-  u.node = v;
-  journal_.push_back(std::move(u));
+void EngineState::journal(UndoRecord::Kind kind, NodeId v) {
+  if (journaling_) journal_.push_back(UndoRecord{kind, v});
 }
 
 void EngineState::set_journaling(bool on) {
@@ -55,10 +54,6 @@ void EngineState::set_journaling(bool on) {
   // silently cross into unrecorded history.
   WB_CHECK_MSG(!on || (journal_.empty() && round_ == 0),
                "enable journaling before the first begin_round()");
-  // Frontier mode mutates the candidate buffer and awake list incrementally;
-  // rewind() does not restore them, so the combination is rejected outright.
-  WB_CHECK_MSG(!on || !opts_.frontier,
-               "journaling is incompatible with frontier mode");
   journaling_ = on;
   if (!on) journal_.clear();
 }
@@ -82,26 +77,30 @@ void EngineState::rewind(const Checkpoint& cp) {
   WB_CHECK_MSG(journaling_, "rewind() requires journaling");
   WB_CHECK_MSG(cp.journal_size <= journal_.size(),
                "rewind() past an already-rewound checkpoint");
-  // Undo journaled mutations newest-first, so a node that changed state
-  // twice ends in its state from checkpoint time.
-  while (journal_.size() > cp.journal_size) {
-    const UndoRecord& u = journal_.back();
-    switch (u.kind) {
-      case UndoRecord::Kind::kStateChange:
-        state_[u.node - 1] = u.old_state;
-        break;
-      case UndoRecord::Kind::kActivation:
-        stats_.activation_round[u.node - 1] = 0;
-        break;
-    }
-    journal_.pop_back();
-  }
-  // The write log names exactly the nodes written since the checkpoint.
+  // Undo the writes first: each writer is active and unwritten again, so it
+  // rejoins the candidates (until an undone activation below removes it).
   while (write_order_.size() > cp.writes) {
     const NodeId v = write_order_.back();
     written_[v - 1] = false;
     stats_.write_round[v - 1] = 0;
+    insert_sorted(candidates_, v);
     write_order_.pop_back();
+  }
+  // Then the journal, newest-first.
+  while (journal_.size() > cp.journal_size) {
+    const UndoRecord u = journal_.back();
+    journal_.pop_back();
+    switch (u.kind) {
+      case UndoRecord::Kind::kActivate:
+        state_[u.node - 1] = NodeState::kAwake;
+        stats_.activation_round[u.node - 1] = 0;
+        erase_sorted(candidates_, u.node);
+        insert_sorted(awake_, u.node);
+        break;
+      case UndoRecord::Kind::kTerminate:
+        state_[u.node - 1] = NodeState::kActive;
+        break;
+    }
   }
   board_.truncate(cp.board_count);
   round_ = cp.round;
@@ -113,7 +112,6 @@ void EngineState::rewind(const Checkpoint& cp) {
   wrote_this_round_ = cp.wrote_this_round;
   status_.reset();
   error_.clear();
-  candidates_.clear();
 }
 
 bool EngineState::compose_checked(NodeId v, Bits& message) {
@@ -145,6 +143,7 @@ bool EngineState::compose_checked(NodeId v, Bits& message) {
 
 void EngineState::begin_round() {
   if (terminal()) return;
+  const NodeId writer = wrote_this_round_ ? write_order_.back() : kNoNode;
   ++round_;
   wrote_this_round_ = false;
   stats_.rounds = round_;
@@ -152,151 +151,94 @@ void EngineState::begin_round() {
     fail(RunStatus::kProtocolError, "round limit exceeded without progress");
     return;
   }
-  if (opts_.frontier) {
-    begin_round_frontier();
-  } else {
-    begin_round_reference();
-  }
-  if (terminal()) return;
-  finish_round_bookkeeping();
-}
 
-void EngineState::begin_round_reference() {
-  const bool sim = is_simultaneous(protocol_->model_class());
-  const bool async = is_asynchronous(protocol_->model_class());
-
-  // Phase 1: termination updates.
-  for (NodeId v = 1; v <= n_; ++v) {
-    if (state_[v - 1] == NodeState::kActive && written_[v - 1]) {
-      journal_state(v, NodeState::kActive);
-      state_[v - 1] = NodeState::kTerminated;
-      trace(TraceEvent::Kind::kTerminate, v);
-    }
-  }
-
-  // Phase 2: activations (+ asynchronous compositions).
-  for (NodeId v = 1; v <= n_; ++v) {
-    if (state_[v - 1] != NodeState::kAwake) continue;
-    const bool wants = activate_of(v);
-    if (terminal()) return;
-    if (sim && round_ == 1 && !wants) {
-      std::ostringstream os;
-      os << "protocol declares a simultaneous class but node " << v
-         << " did not activate in round 1";
-      fail(RunStatus::kProtocolError, os.str());
-      return;
-    }
-    if (!wants) continue;
-    journal_state(v, NodeState::kAwake);
-    state_[v - 1] = NodeState::kActive;
-    journal_activation(v);
-    stats_.activation_round[v - 1] = round_;
-    trace(TraceEvent::Kind::kActivate, v);
-    // Asynchronous classes: the message is created now and frozen.
-    if (async && !compose_checked(v, memory_[v - 1])) return;
-  }
-
-  // Candidate set for the adversary.
-  candidates_.clear();
-  for (NodeId v = 1; v <= n_; ++v) {
-    if (state_[v - 1] == NodeState::kActive && !written_[v - 1]) {
-      candidates_.push_back(v);
-    }
-  }
-}
-
-void EngineState::begin_round_frontier() {
-  const bool sim = is_simultaneous(protocol_->model_class());
-  const bool async = is_asynchronous(protocol_->model_class());
-  const NodeId writer = pending_writer_;
-  pending_writer_ = kNoNode;
-
-  // Phase 1: the only node that can newly be active+written is last round's
-  // writer (write_node requires an active node, and every earlier writer
-  // already terminated) — O(1) instead of the reference scan.
-  if (writer != kNoNode && state_[writer - 1] == NodeState::kActive) {
+  // Phase 1: termination updates. Only last round's writer can be active
+  // with its message on the board: every earlier writer terminated a round
+  // after its write.
+  if (writer != kNoNode) {
     state_[writer - 1] = NodeState::kTerminated;
+    journal(UndoRecord::Kind::kTerminate, writer);
     trace(TraceEvent::Kind::kTerminate, writer);
   }
 
-  // Phase 2: activations. Everyone is evaluated in round 1; afterwards, if
-  // the protocol's activation is neighbor-local, only awake neighbors of the
-  // writer can change their answer. Both iteration orders are ascending, so
-  // activation/trace/compose order matches the reference engine exactly.
-  newly_activated_.clear();
-  const auto eval = [&](NodeId v) -> bool {
-    const bool wants = activate_of(v);
-    if (terminal()) return false;
-    if (sim && round_ == 1 && !wants) {
+  // Phase 2: activations (+ asynchronous compositions). Everyone awake is
+  // asked in round 1 and whenever the protocol claims no locality; otherwise
+  // only the writer's awake neighbours can change last round's (false)
+  // answer. Both walks are ascending, as a full rescan would be.
+  activated_.clear();
+  bool running = true;
+  if (round_ == 1 || !locality_.activate_neighbor_local) {
+    for (const NodeId v : awake_) {
+      if (!(running = evaluate(v))) break;
+    }
+  } else if (writer != kNoNode) {
+    for (const NodeId v : graph_->neighbors(writer)) {
+      if (state_[v - 1] == NodeState::kAwake && !(running = evaluate(v))) {
+        break;
+      }
+    }
+  }
+  // Even when the round failed mid-way, so the node sets stay exact.
+  admit_activated();
+  if (!running || !candidates_.empty()) return;
+  if (stats_.writes == n_) {
+    status_ = RunStatus::kSuccess;
+  } else {
+    // No node can write and — since the whiteboard can no longer change —
+    // no awake node will ever activate: corrupted configuration.
+    std::ostringstream os;
+    os << "deadlock after " << stats_.writes << "/" << n_ << " writes";
+    fail(RunStatus::kDeadlock, os.str());
+  }
+}
+
+bool EngineState::evaluate(NodeId v) {
+  const bool wants = activate_of(v);
+  if (terminal()) return false;
+  if (!wants) {
+    if (round_ == 1 && is_simultaneous(model_)) {
       std::ostringstream os;
       os << "protocol declares a simultaneous class but node " << v
          << " did not activate in round 1";
       fail(RunStatus::kProtocolError, os.str());
       return false;
     }
-    if (!wants) return true;
-    state_[v - 1] = NodeState::kActive;
-    stats_.activation_round[v - 1] = round_;
-    trace(TraceEvent::Kind::kActivate, v);
-    newly_activated_.push_back(v);
-    return !async || compose_checked(v, memory_[v - 1]);
-  };
-  if (round_ == 1 || !locality_.activate_neighbor_local) {
-    for (NodeId v : awake_ids_) {
-      if (!eval(v)) return;
-    }
-  } else if (writer != kNoNode) {
-    const auto nb = graph_->neighbors(writer);
-    if (nb.size() <= awake_ids_.size()) {
-      // Top-down: walk the writer's (sorted) neighbor list.
-      for (NodeId w : nb) {
-        if (state_[w - 1] == NodeState::kAwake && !eval(w)) return;
-      }
-    } else {
-      // Bottom-up: the awake population is smaller than the writer's degree.
-      for (NodeId v : awake_ids_) {
-        if (graph_->has_edge(writer, v) && !eval(v)) return;
-      }
-    }
+    return true;
   }
-  if (!newly_activated_.empty()) {
-    awake_ids_.erase(std::remove_if(awake_ids_.begin(), awake_ids_.end(),
-                                    [&](NodeId v) {
-                                      return state_[v - 1] !=
-                                             NodeState::kAwake;
-                                    }),
-                     awake_ids_.end());
-    // Merge the (ascending) new actives into the sorted candidate list.
-    const auto mid = static_cast<std::ptrdiff_t>(candidates_.size());
-    candidates_.insert(candidates_.end(), newly_activated_.begin(),
-                       newly_activated_.end());
-    std::inplace_merge(candidates_.begin(), candidates_.begin() + mid,
-                       candidates_.end());
-  }
+  state_[v - 1] = NodeState::kActive;
+  stats_.activation_round[v - 1] = round_;
+  journal(UndoRecord::Kind::kActivate, v);
+  trace(TraceEvent::Kind::kActivate, v);
+  activated_.push_back(v);
+  // Asynchronous classes: the message is created now and frozen.
+  return !is_asynchronous(model_) || compose_checked(v, memory_[v - 1]);
 }
 
-void EngineState::finish_round_bookkeeping() {
-  if (candidates_.empty()) {
-    if (stats_.writes == n_) {
-      set_status(RunStatus::kSuccess);
-    } else {
-      // No node can write and — since the whiteboard can no longer change —
-      // no awake node will ever activate: corrupted configuration.
-      std::ostringstream os;
-      os << "deadlock after " << stats_.writes << "/" << n_ << " writes";
-      fail(RunStatus::kDeadlock, os.str());
-    }
+void EngineState::admit_activated() {
+  if (activated_.empty()) return;
+  awake_.erase(std::remove_if(std::lower_bound(awake_.begin(), awake_.end(),
+                                               activated_.front()),
+                              awake_.end(),
+                              [&](NodeId v) {
+                                return state_[v - 1] != NodeState::kAwake;
+                              }),
+               awake_.end());
+  // Merge the (ascending) activations into candidates_ back to front, in
+  // place: the reserved capacity makes this allocation-free.
+  std::size_t i = candidates_.size();
+  std::size_t j = activated_.size();
+  candidates_.resize(i + j);
+  for (std::size_t k = candidates_.size(); j > 0;) {
+    candidates_[--k] = (i > 0 && candidates_[i - 1] > activated_[j - 1])
+                           ? candidates_[--i]
+                           : activated_[--j];
   }
 }
 
 void EngineState::write(std::size_t index) {
   WB_CHECK(!terminal());
   WB_CHECK_MSG(index < candidates_.size(), "adversary chose a non-candidate");
-  const NodeId v = candidates_[index];
-  write_node(v);
-  // Frontier mode maintains the candidate buffer incrementally (write_node
-  // removed v); the reference engine rebuilds it from scratch every round.
-  if (!opts_.frontier) candidates_.clear();
+  write_node(candidates_[index]);
 }
 
 void EngineState::write_node(NodeId v) {
@@ -308,7 +250,7 @@ void EngineState::write_node(NodeId v) {
                "one adversarial write per round: begin_round() first");
   wrote_this_round_ = true;
   Bits message;
-  if (is_asynchronous(protocol_->model_class())) {
+  if (is_asynchronous(model_)) {
     message = memory_[v - 1];  // a copy: after a rewind it can be written again
   } else if (!compose_checked(v, message)) {
     return;  // the write itself ended the run; nothing reached the board
@@ -317,16 +259,11 @@ void EngineState::write_node(NodeId v) {
   board_.append(std::move(message));
   stats_.total_bits = board_.total_bits();
   written_[v - 1] = true;
+  erase_sorted(candidates_, v);
   stats_.write_round[v - 1] = round_;
   ++stats_.writes;
   write_order_.push_back(v);
   trace(TraceEvent::Kind::kWrite, v);
-  if (opts_.frontier) {
-    pending_writer_ = v;
-    const auto it =
-        std::lower_bound(candidates_.begin(), candidates_.end(), v);
-    if (it != candidates_.end() && *it == v) candidates_.erase(it);
-  }
 }
 
 bool EngineState::activate_of(NodeId v) {

@@ -99,15 +99,6 @@ struct EngineOptions {
   /// Safety valve; 0 = automatic (writes can't exceed n, so 2n+8 rounds).
   std::size_t max_rounds = 0;
   bool record_trace = false;
-  /// Frontier-aware rounds: instead of rescanning all n nodes every round,
-  /// the engine tracks the awake/active sets incrementally and — where the
-  /// protocol's FrontierLocality contract allows — only re-activates nodes
-  /// adjacent to the last writer, switching between iterating the writer's
-  /// neighbor list (top-down) and scanning the awake population (bottom-up)
-  /// on frontier density. Executions are bit-identical to the reference
-  /// rounds. Incompatible with journaling (the exhaustive explorer's rewind
-  /// path keeps the reference engine).
-  bool frontier = false;
 };
 
 /// Stepwise engine state. Copyable (copies are O(n) — the board is shared
@@ -115,6 +106,13 @@ struct EngineOptions {
 /// engine records an undo entry for every mutation, so the exhaustive
 /// explorer can branch by checkpoint()/rewind() on one state instead of
 /// copying it per branch. Typical use is through run_protocol below.
+///
+/// Rounds are incremental: the engine keeps the awake and candidate sets
+/// sorted as they change, so phase 1 is O(1) (only the last writer can
+/// terminate) and phase 2 evaluates the awake set — or, when the protocol
+/// claims FrontierLocality::activate_neighbor_local, only the last writer's
+/// awake neighbours, Σ deg(writer) = 2m over a whole run. Both walks are
+/// ascending, so activation, trace and compose order equal a full rescan's.
 class EngineState {
  public:
   EngineState(const Graph& g, const Protocol& p, EngineOptions opts = {});
@@ -125,6 +123,8 @@ class EngineState {
   void begin_round();
 
   /// Active nodes with unwritten messages, sorted by ID (adversary domain).
+  /// Exact at every point: after begin_round(), after a write (which removes
+  /// the writer) and after rewind() (which restores the checkpoint's set).
   [[nodiscard]] std::span<const NodeId> candidates() const noexcept {
     return candidates_;
   }
@@ -133,11 +133,10 @@ class EngineState {
   void write(std::size_t index);
 
   /// Phase 3, addressed by node ID: `v` must be active with an unwritten
-  /// message. Unlike write(), leaves the candidate buffer untouched, so a
-  /// backtracking caller can iterate its own copy of the candidates across
-  /// rewinds. In the synchronous classes this is where `v`'s message is
+  /// message. In the synchronous classes this is where `v`'s message is
   /// composed, so the write itself can end the run (kFault or
-  /// kMessageOverflow): check terminal() afterwards.
+  /// kMessageOverflow): check terminal() afterwards. A write that ends the
+  /// run leaves `v` a candidate — nothing reached the board.
   void write_node(NodeId v);
 
   /// Terminal when a status is decided (success/deadlock/overflow/error).
@@ -155,12 +154,12 @@ class EngineState {
   [[nodiscard]] std::size_t round() const noexcept { return round_; }
 
   /// State-identity key for memoized exploration: a 128-bit hash of the
-  /// board content and the written set. In the fault-free reference engine
-  /// these determine every other component at a branch point — activations
-  /// are monotone functions of the board history (itself the prefix chain of
-  /// the content), messages are frozen at activation (asynchronous) or
-  /// composed from the board at write time (synchronous, so no memory is
-  /// state at all), and the round counter tracks the write count — so two
+  /// board content and the written set. In a fault-free run these determine
+  /// every other component at a branch point — activations are monotone
+  /// functions of the board history (itself the prefix chain of the
+  /// content), messages are frozen at activation (asynchronous) or composed
+  /// from the board at write time (synchronous, so no memory is state at
+  /// all), and the round counter tracks the write count — so two
   /// non-terminal states with equal keys behave identically under every
   /// future schedule. Used by the memoizing exhaustive sweep and the
   /// symbolic frontier engine.
@@ -189,17 +188,19 @@ class EngineState {
   [[nodiscard]] Checkpoint checkpoint() const;
 
   /// Restore the exact engine state at `cp` (requires journaling; `cp` must
-  /// be from this state and not rewound past already). Clears any terminal
-  /// status reached since. The candidate buffer is left empty — callers
-  /// branching over candidates keep their own copy.
+  /// be from this state and not rewound past already), candidate set
+  /// included — so a backtracking caller can iterate candidates() by index
+  /// across write_node()/rewind(). Clears any terminal status reached since.
   void rewind(const Checkpoint& cp);
 
  private:
-  void begin_round_reference();
-  void begin_round_frontier();
-  void finish_round_bookkeeping();
+  /// Phase 2 for one awake node: activate() through the referee, and on a
+  /// yes the activation (plus, in the asynchronous classes, the frozen
+  /// message). Returns false when the run ended.
+  [[nodiscard]] bool evaluate(NodeId v);
+  /// Move this round's activations from awake_ into candidates_.
+  void admit_activated();
   void fail(RunStatus status, std::string error);
-  void set_status(RunStatus status) { status_ = status; }
   [[nodiscard]] LocalView view_of(NodeId v) const {
     return LocalView(v, graph_->neighbors(v), graph_->node_count());
   }
@@ -213,27 +214,29 @@ class EngineState {
   [[nodiscard]] bool activate_of(NodeId v);
   void trace(TraceEvent::Kind kind, NodeId v);
 
-  /// One reversible mutation. kStateChange restores a node's lifecycle
-  /// state, kActivation clears its activation round (set exactly once, from
-  /// 0). Memories need no record: an asynchronous node's memory is only read
-  /// while the node is active, and every activation recomposes it.
+  /// One reversible mutation: kActivate returns a node to the awake set,
+  /// kTerminate makes a terminated node active again. Writes need no record
+  /// (write_order_ is their log), nor do memories: an asynchronous node's
+  /// memory is only read while the node is active, and every activation
+  /// recomposes it.
   struct UndoRecord {
-    enum class Kind : std::uint8_t { kStateChange, kActivation };
-    Kind kind = Kind::kStateChange;
-    NodeState old_state = NodeState::kAwake;
+    enum class Kind : std::uint8_t { kActivate, kTerminate };
+    Kind kind = Kind::kActivate;
     NodeId node = kNoNode;
   };
-  void journal_state(NodeId v, NodeState old_state);
-  void journal_activation(NodeId v);
+  void journal(UndoRecord::Kind kind, NodeId v);
 
   const Graph* graph_;
   const Protocol* protocol_;
   EngineOptions opts_;
   std::size_t n_;
+  ModelClass model_;
+  /// The protocol's locality contract, cached at construction.
+  FrontierLocality locality_;
   std::size_t round_ = 0;
   /// The paper's model admits one adversarial write per round; write_node
-  /// enforces it (write() inherited the guarantee from the candidate-buffer
-  /// clear, write_node has no buffer to clear).
+  /// enforces it. When set, write_order_.back() is that write's node — the
+  /// only one the next round's phase 1 can terminate.
   bool wrote_this_round_ = false;
 
   /// Per-engine compose scratch, handed to Protocol::compose so steady-state
@@ -246,7 +249,12 @@ class EngineState {
   /// classes, which compose at write time.
   std::vector<Bits> memory_;
   std::vector<bool> written_;
+  /// Awake node IDs, sorted.
+  std::vector<NodeId> awake_;
+  /// Active node IDs with unwritten messages, sorted.
   std::vector<NodeId> candidates_;
+  /// Per-round scratch: IDs activated this round, ascending.
+  std::vector<NodeId> activated_;
   Whiteboard board_;
   std::optional<RunStatus> status_;
   std::string error_;
@@ -257,16 +265,6 @@ class EngineState {
 
   bool journaling_ = false;
   std::vector<UndoRecord> journal_;
-
-  // --- Frontier mode (opts_.frontier) ---
-  /// The protocol's locality contract, cached at construction.
-  FrontierLocality locality_;
-  /// Writer of the previous round, kNoNode if that round wrote nothing.
-  NodeId pending_writer_ = kNoNode;
-  /// Awake node IDs, sorted; activated nodes are removed as they leave.
-  std::vector<NodeId> awake_ids_;
-  /// Per-round scratch: IDs activated this round, ascending.
-  std::vector<NodeId> newly_activated_;
 };
 
 /// Run `p` on `g` to completion under `adv`.

@@ -25,8 +25,9 @@ struct ExploreControl {
 
 // Depth-first over adversary choices on ONE journaling EngineState: branches
 // are taken by write_node() and undone by rewind(), never by copying the
-// state. Per-frame candidate buffers and the scratch ExecutionResult are
-// pooled, so a steady-state visit allocates nothing. In a parallel sweep
+// state. rewind() restores the candidate set, so each frame iterates
+// candidates() by index across its writes, and the scratch ExecutionResult
+// is pooled: a steady-state visit allocates nothing. In a parallel sweep
 // each subtree task owns one Backtracker seeded by replaying the task's
 // decision prefix.
 template <typename Visitor>
@@ -48,12 +49,12 @@ class Backtracker {
                    "subtree prefix reached a terminal state");
       state_.write_node(v);
     }
-    explore(0);
+    explore();
   }
 
  private:
   // Invariant: explore() returns with the state rewound to how it found it.
-  void explore(std::size_t depth) {
+  void explore() {
     if (ctl_->stop.load(std::memory_order_relaxed)) return;
     if (state_.terminal()) {
       // The write that led here ended the run (a synchronous message is
@@ -68,19 +69,13 @@ class Backtracker {
       state_.rewind(pre_round);
       return;
     }
-    // The round's candidates, copied into this depth's pooled buffer:
-    // write_node() does not consume the candidate list, and rewinds restore
-    // the state the copies were taken from. Accessed by index and re-fetched
-    // each iteration — deeper explore() calls can grow frames_ and move the
-    // pooled vectors, so no reference across the recursion stays valid.
-    if (frames_.size() <= depth) frames_.emplace_back();
-    frames_[depth].assign(state_.candidates().begin(),
-                          state_.candidates().end());
+    // Re-fetched each iteration: the write and the subtree below change the
+    // candidate set, and rewind(pre_write) restores it.
     const EngineState::Checkpoint pre_write = state_.checkpoint();
-    for (std::size_t i = 0; i < frames_[depth].size(); ++i) {
+    for (std::size_t i = 0; i < state_.candidates().size(); ++i) {
       if (ctl_->stop.load(std::memory_order_relaxed)) break;
-      state_.write_node(frames_[depth][i]);
-      explore(depth + 1);
+      state_.write_node(state_.candidates()[i]);
+      explore();
       state_.rewind(pre_write);
     }
     state_.rewind(pre_round);
@@ -119,7 +114,6 @@ class Backtracker {
   ExploreControl* ctl_;
   Visitor* visit_;
   ExecutionResult scratch_;
-  std::vector<std::vector<NodeId>> frames_;
 };
 
 std::size_t resolve_threads(std::size_t requested) {
@@ -207,16 +201,15 @@ std::vector<PrefixTask> partition_executions(const Graph& g, const Protocol& p,
     tasks.push_back(PrefixTask{});
     return tasks;
   }
-  const std::vector<NodeId> level1(s.candidates().begin(),
-                                   s.candidates().end());
-  if (level1.size() >= target_tasks) {
-    for (const NodeId v : level1) {
+  if (s.candidates().size() >= target_tasks) {
+    for (const NodeId v : s.candidates()) {
       tasks.push_back(PrefixTask{{v, kNoNode}, 1});
     }
     return tasks;
   }
   const EngineState::Checkpoint root = s.checkpoint();
-  for (const NodeId v : level1) {
+  for (std::size_t i = 0; i < s.candidates().size(); ++i) {
+    const NodeId v = s.candidates()[i];
     s.write_node(v);
     s.begin_round();
     if (s.terminal()) {
@@ -347,11 +340,9 @@ MemoizedTotals sweep_memoized(
     }
     ++totals.states_explored;
     MemoEntry sum;
-    const std::vector<NodeId> branches(state.candidates().begin(),
-                                       state.candidates().end());
     const EngineState::Checkpoint pre_write = state.checkpoint();
-    for (const NodeId v : branches) {
-      state.write_node(v);
+    for (std::size_t i = 0; i < state.candidates().size(); ++i) {
+      state.write_node(state.candidates()[i]);
       const MemoEntry sub = self(self);
       sum.executions += sub.executions;
       sum.engine_failures += sub.engine_failures;

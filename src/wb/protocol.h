@@ -32,12 +32,13 @@
 
 namespace wb {
 
-/// A protocol's opt-in contract for the engine's frontier-aware rounds
-/// (EngineOptions::frontier). The flag describes *data dependence*, not a
-/// different semantics — the engine uses it to skip re-evaluations that
-/// provably cannot change, and the result must stay bit-identical to the
-/// reference engine. compose() needs no such flag: the engine calls it only
-/// when a message is created (activation or write), never to refresh one.
+/// A protocol's opt-in contract for skipping activation checks. The flag
+/// describes *data dependence*, not a different semantics — the engine uses
+/// it to skip re-evaluations that provably cannot change, and every run must
+/// stay bit-identical to one that claims nothing (an empty FrontierLocality,
+/// under which every awake node is asked every round). compose() needs no
+/// such flag: the engine calls it only when a message is created
+/// (activation or write), never to refresh one.
 struct FrontierLocality {
   /// activate(view, board) is a pure function of (view, the subsequence of
   /// board messages authored by neighbors of view.id()). Since the board only
@@ -82,10 +83,10 @@ class Protocol {
     return compose(view, board);
   }
 
-  /// Which frontier-engine shortcuts this protocol's functions admit. The
-  /// default claims nothing, which makes frontier mode safe (if slower) for
-  /// every protocol; claiming a flag the functions do not honor breaks the
-  /// bit-identical guarantee, so it is pinned by the equivalence suites.
+  /// Which activation shortcuts this protocol's functions admit. The default
+  /// claims nothing, which is safe (if slower) for every protocol; claiming a
+  /// flag the functions do not honor breaks the bit-identical guarantee, so
+  /// it is pinned by the equivalence suites.
   [[nodiscard]] virtual FrontierLocality frontier_locality() const {
     return {};
   }

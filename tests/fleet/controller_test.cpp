@@ -11,6 +11,7 @@
 #if WB_FLEET_HAS_PROCESSES
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -77,8 +78,51 @@ void expect_same_merge(const shard::MergedResult& got,
   EXPECT_EQ(got.distinct, want.distinct);
 }
 
+/// A start gate across fork(): the runner() it hands out blocks its first
+/// sweep until the parent calls release(). Tests use it to pin an ordering
+/// the controller leaves to the scheduler — "the other worker is admitted
+/// (or dispatched) before this one finishes a shard" — without sleeping.
+/// Built on a pipe: each released child consumes one byte.
+class StartGate {
+ public:
+  StartGate() { WB_REQUIRE_MSG(::pipe(fds_) == 0, "pipe failed"); }
+  ~StartGate() {
+    ::close(fds_[0]);
+    ::close(fds_[1]);
+  }
+  StartGate(const StartGate&) = delete;
+  StartGate& operator=(const StartGate&) = delete;
+
+  /// Parent side: let `children` gated children start sweeping.
+  void release(std::size_t children) const {
+    const std::string bytes(children, 'g');
+    WB_REQUIRE_MSG(::write(fds_[1], bytes.data(), bytes.size()) ==
+                       static_cast<ssize_t>(bytes.size()),
+                   "gate write failed");
+  }
+
+  /// serial_runner behind the gate. The wait is bounded (30 s) so a test
+  /// bug cannot hang the suite; a timed-out child just runs ungated.
+  [[nodiscard]] ShardRunner runner() const {
+    return [fd = fds_[0], waited = false](const shard::ShardSpec& spec,
+                                          std::size_t threads) mutable {
+      if (!waited) {
+        waited = true;
+        pollfd ready{fd, POLLIN, 0};
+        char byte = 0;
+        if (::poll(&ready, 1, 30000) == 1) (void)::read(fd, &byte, 1);
+      }
+      return serial_runner(spec, threads);
+    };
+  }
+
+ private:
+  int fds_[2] = {-1, -1};
+};
+
 /// Fork a child that serves frames with run_worker (in-process, no exec).
-WorkerEndpoint fork_worker(const WorkerOptions& options = {}) {
+WorkerEndpoint fork_worker(const WorkerOptions& options = {},
+                           const ShardRunner& runner = serial_runner) {
   int to_child[2] = {-1, -1};
   int from_child[2] = {-1, -1};
   WB_REQUIRE_MSG(::pipe(to_child) == 0 && ::pipe(from_child) == 0,
@@ -88,7 +132,7 @@ WorkerEndpoint fork_worker(const WorkerOptions& options = {}) {
   if (pid == 0) {
     ::close(to_child[1]);
     ::close(from_child[0]);
-    ::_exit(run_worker(to_child[0], from_child[1], serial_runner, options));
+    ::_exit(run_worker(to_child[0], from_child[1], runner, options));
   }
   ::close(to_child[0]);
   ::close(from_child[1]);
@@ -572,7 +616,8 @@ TEST(FleetWorker, UnsweepableSpecAnswersWithAnErrorFrameAndLivesOn) {
 /// --connect). The child closes the inherited listener fd first so a
 /// dangling child can never keep the port alive past the controller.
 pid_t fork_connect_worker(const SocketListener& listener,
-                          const WorkerOptions& options = {}) {
+                          const WorkerOptions& options = {},
+                          const ShardRunner& runner = serial_runner) {
   const SocketAddress address = listener.bound_address();
   const int listener_fd = listener.fd();
   const pid_t pid = ::fork();
@@ -584,7 +629,7 @@ pid_t fork_connect_worker(const SocketListener& listener,
     connect.redial_base = milliseconds(50);
     connect.redial_max = milliseconds(500);
     connect.redial_limit = 40;  // bounded so a test bug cannot hang the suite
-    ::_exit(run_worker_connect(connect, serial_runner, options));
+    ::_exit(run_worker_connect(connect, runner, options));
   }
   return pid;
 }
@@ -631,6 +676,9 @@ TEST(SocketFleet, DialInWorkersServeAnAllRemoteSweep) {
   // while the listener is up.
   const PlanInputs plan = make_plan("remote", "twocliques:3", "two-cliques", 4);
   SocketListener listener(SocketAddress{"127.0.0.1", 0});
+  // Neither worker sweeps until both are admitted: otherwise the first one
+  // can drain the tiny plan before the second dials in.
+  const StartGate gate;
   std::vector<std::string> admitted_hosts;
   bool any_reconnect = false;
   FleetObserver observer;
@@ -638,13 +686,14 @@ TEST(SocketFleet, DialInWorkersServeAnAllRemoteSweep) {
                           bool reconnected) {
     admitted_hosts.push_back(hello.host);
     any_reconnect = any_reconnect || reconnected;
+    if (admitted_hosts.size() == 2) gate.release(2);
   };
   WorkerOptions alpha;
   alpha.hostname = "alpha";
   WorkerOptions beta;
   beta.hostname = "beta";
-  const pid_t pid_a = fork_connect_worker(listener, alpha);
-  const pid_t pid_b = fork_connect_worker(listener, beta);
+  const pid_t pid_a = fork_connect_worker(listener, alpha, gate.runner());
+  const pid_t pid_b = fork_connect_worker(listener, beta, gate.runner());
   FleetOptions options;
   options.workers = 0;
   options.drain_grace = milliseconds(200);
@@ -671,8 +720,12 @@ TEST(SocketFleet, SigkillRemoteMidShardShiftsLoadToTheSurvivor) {
   victim.stall_first = milliseconds(400);  // provably mid-shard when killed
   WorkerOptions survivor;
   survivor.hostname = "survivor";
+  // The survivor sweeps nothing until the victim has a shard, or it could
+  // drain the plan before the victim dials in.
+  const StartGate gate;
   const pid_t victim_pid = fork_connect_worker(listener, victim);
-  const pid_t survivor_pid = fork_connect_worker(listener, survivor);
+  const pid_t survivor_pid =
+      fork_connect_worker(listener, survivor, gate.runner());
   std::size_t victim_index = SIZE_MAX;
   bool killed = false;
   std::string lost_reason;
@@ -685,6 +738,7 @@ TEST(SocketFleet, SigkillRemoteMidShardShiftsLoadToTheSurvivor) {
     if (!killed && worker == victim_index) {
       killed = true;
       ::kill(victim_pid, SIGKILL);
+      gate.release(1);
     }
   };
   observer.on_worker_lost = [&](std::size_t worker, const std::string& why) {
@@ -716,6 +770,12 @@ TEST(SocketFleet, RemoteLossSpendsNoRespawnBudget) {
   remote.hostname = "remote";
   remote.stall_first = milliseconds(400);
   const pid_t remote_pid = fork_connect_worker(listener, remote);
+  // The local worker sweeps nothing until the remote has a shard, or it
+  // could drain the plan before the remote dials in.
+  const StartGate gate;
+  const WorkerLauncher gated_launcher = [&gate](std::size_t) {
+    return fork_worker({}, gate.runner());
+  };
   std::size_t remote_index = SIZE_MAX;
   std::size_t spawns = 0;
   bool killed = false;
@@ -729,6 +789,7 @@ TEST(SocketFleet, RemoteLossSpendsNoRespawnBudget) {
     if (!killed && worker == remote_index) {
       killed = true;
       ::kill(remote_pid, SIGKILL);
+      gate.release(1);
     }
   };
   FleetOptions options;
@@ -736,7 +797,7 @@ TEST(SocketFleet, RemoteLossSpendsNoRespawnBudget) {
   options.backoff_base = milliseconds(10);
   options.drain_grace = milliseconds(100);
   const auto outcomes =
-      run_fleet({plan}, options, plain_launcher(), observer, &listener);
+      run_fleet({plan}, options, gated_launcher, observer, &listener);
   EXPECT_EQ(reap(remote_pid), -SIGKILL);
   ASSERT_TRUE(killed);
   ASSERT_EQ(outcomes.size(), 1u);
@@ -805,10 +866,26 @@ TEST(SocketFleet, HalfOpenConnectionIsSuspectedButTheLinkStaysOpen) {
   WorkerOptions honest;
   honest.hostname = "honest";
   honest.heartbeat_interval = milliseconds(100);
-  const pid_t honest_pid = fork_connect_worker(listener, honest);
+  // The honest worker sweeps nothing until the silent one holds a shard, or
+  // it could drain the plan before the silent one is admitted.
+  const StartGate gate;
+  const pid_t honest_pid =
+      fork_connect_worker(listener, honest, gate.runner());
+  std::size_t silent_index = SIZE_MAX;
+  bool silent_dispatched = false;
   std::vector<std::string> lost;
   std::size_t requeues = 0;
   FleetObserver observer;
+  observer.on_admit = [&](std::size_t worker, const HelloInfo& hello, bool) {
+    if (hello.host == "silent") silent_index = worker;
+  };
+  observer.on_dispatch = [&](std::size_t worker, const std::string&,
+                             std::uint32_t, int) {
+    if (!silent_dispatched && worker == silent_index) {
+      silent_dispatched = true;
+      gate.release(1);
+    }
+  };
   observer.on_worker_lost = [&](std::size_t, const std::string& why) {
     lost.push_back(why);
   };
@@ -849,12 +926,16 @@ TEST(SocketFleet, MisconfiguredHeartbeatIsRefusedAtHandshake) {
   WorkerOptions good;
   good.hostname = "good";
   good.heartbeat_interval = milliseconds(100);
-  const pid_t good_pid = fork_connect_worker(listener, good);
+  // The good worker sweeps nothing until the bad one was refused, or it
+  // could drain the plan before the bad one dials in.
+  const StartGate gate;
+  const pid_t good_pid = fork_connect_worker(listener, good, gate.runner());
   std::vector<std::string> lost;
   std::vector<std::string> admitted;
   FleetObserver observer;
   observer.on_worker_lost = [&](std::size_t, const std::string& why) {
     lost.push_back(why);
+    if (lost.size() == 1) gate.release(1);
   };
   observer.on_admit = [&](std::size_t, const HelloInfo& hello, bool) {
     admitted.push_back(hello.host);

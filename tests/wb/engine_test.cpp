@@ -138,9 +138,8 @@ class ComposeCounter final : public Protocol {
 };
 
 TEST(Engine, SynchronousRunsComposeEachMessageOnce) {
-  // One compose per written message, in either round implementation: a
-  // SIMSYNC run (everyone active from round 1) and a SYNC run (activation
-  // gated on the board).
+  // One compose per written message: a SIMSYNC run (everyone active from
+  // round 1) and a SYNC run (activation gated on the board).
   const TwoCliquesProtocol two_cliques_p;
   const SyncBfsProtocol bfs;
   const Graph cliques = two_cliques(6);
@@ -148,14 +147,10 @@ TEST(Engine, SynchronousRunsComposeEachMessageOnce) {
   const std::pair<const Graph*, const Protocol*> cases[] = {
       {&cliques, &two_cliques_p}, {&grid, &bfs}};
   for (const auto& [g, inner] : cases) {
-    for (const bool frontier : {false, true}) {
-      const ComposeCounter counted(*inner);
-      const ExecutionResult r =
-          run_protocol(*g, counted, EngineOptions{.frontier = frontier});
-      ASSERT_TRUE(r.ok()) << inner->name() << ": " << r.error;
-      EXPECT_EQ(counted.calls, g->node_count())
-          << inner->name() << " frontier=" << frontier;
-    }
+    const ComposeCounter counted(*inner);
+    const ExecutionResult r = run_protocol(*g, counted);
+    ASSERT_TRUE(r.ok()) << inner->name() << ": " << r.error;
+    EXPECT_EQ(counted.calls, g->node_count()) << inner->name();
   }
 }
 

@@ -388,6 +388,51 @@ TEST(FaultFirewall, DataErrorInComposeBecomesAFaultStatus) {
 }
 
 // ---------------------------------------------------------------------------
+// Locality claims under faults. The engine walks only the last writer's
+// neighbours when a protocol claims FrontierLocality, so the adapters must
+// withdraw a claim their faults break: a corrupted message can decode as a
+// non-neighbour's ID, and a crashed node's verdict is pinned false. Then a
+// claimed sweep equals the sweep of the same protocol with no claim at all.
+
+TEST(FaultLocality, ClaimedSweepsEqualUnclaimedSweepsUnderCrashAndCorruption) {
+  const testing::RumorProtocol rumor;               // ASYNC
+  const testing::GossipCountProtocol gossip;        // SYNC
+  const testing::WithoutLocality plain_rumor(rumor);
+  const testing::WithoutLocality plain_gossip(gossip);
+  const std::pair<const Protocol*, const Protocol*> protocols[] = {
+      {&rumor, &plain_rumor}, {&gossip, &plain_gossip}};
+  const Graph graphs[] = {path_graph(4), cycle_graph(4), star_graph(4),
+                          grid_graph(2, 2), random_tree(5, 7)};
+  std::vector<FaultSpec> specs = {FaultSpec::Crash(1), FaultSpec::Crash(2)};
+  for (std::uint64_t seed = 0; seed <= 5; ++seed) {
+    specs.push_back(FaultSpec::Corrupt(1, 2, seed));
+    specs.push_back(FaultSpec::Corrupt(1, 4, seed));
+  }
+  ExhaustiveOptions serial;
+  serial.threads = 1;
+  for (const auto& [claimed, plain] : protocols) {
+    for (const Graph& g : graphs) {
+      for (const FaultSpec& faults : specs) {
+        const FaultSweepTotals want = sweep_faulty_executions(
+            g, *plain, faults, crash_tolerant, serial);
+        const FaultSweepTotals got = sweep_faulty_executions(
+            g, *claimed, faults, crash_tolerant, serial);
+        const std::string where = claimed->name() + " n=" +
+                                  std::to_string(g.node_count()) + " m=" +
+                                  std::to_string(g.edge_count()) + " " +
+                                  fault_spec_to_string(faults);
+        EXPECT_EQ(got.worlds, want.worlds) << where;
+        EXPECT_EQ(got.executions, want.executions) << where;
+        EXPECT_EQ(got.engine_failures, want.engine_failures) << where;
+        EXPECT_EQ(got.wrong_outputs, want.wrong_outputs) << where;
+        EXPECT_EQ(got.distinct->estimate(), want.distinct->estimate())
+            << where;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // VerdictAccumulator contract battery (the distinct_test.cpp shape).
 
 TEST(VerdictAccumulator, EmptyAccumulatorHasVacuousBounds) {

@@ -1,12 +1,16 @@
-// Frontier-engine equivalence: EngineOptions::frontier must be a pure
-// optimization. Every suite here runs the frontier engine in lockstep with
-// the reference engine — same graph, same protocol, same adversary choices —
-// and requires bit-identical observables at every round: candidate sets,
-// whiteboard contents, terminal status, error strings, stats, write order,
-// and trace. The exhaustive suites branch over *every* adversary schedule on
-// small instances, so a locality claim a protocol does not honor (or a
-// frontier bookkeeping bug) cannot hide behind one lucky ordering.
-#include <algorithm>
+// Round equivalence: the engine's incremental round must be a pure
+// optimization of "ask every awake node, rescan every set". Every suite here
+// runs a protocol in lockstep with itself wrapped in WithoutLocality (which
+// withdraws any FrontierLocality claim, so every awake node is asked every
+// round) — same graph, same adversary choices — and requires bit-identical
+// observables: candidate sets, whiteboard contents, terminal status, error
+// strings, stats, write order, and trace. A third, journaling state walks
+// the same schedule tree by checkpoint/write_node/rewind and must match the
+// copies everywhere, with candidates() restored exactly after every rewind.
+// The exhaustive suites branch over *every* adversary schedule on small
+// instances, so a locality claim a protocol does not honor (or a set
+// bookkeeping bug) cannot hide behind one lucky ordering.
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,83 +21,96 @@
 #include "src/protocols/mis.h"
 #include "src/protocols/oracles.h"
 #include "src/protocols/two_cliques.h"
-#include "src/support/check.h"
 #include "src/wb/engine.h"
 #include "tests/wb/test_protocols.h"
 
 namespace wb {
 namespace {
 
-void ExpectSameResult(const ExecutionResult& ref, const ExecutionResult& fro) {
-  EXPECT_EQ(ref.status, fro.status);
-  EXPECT_EQ(ref.error, fro.error);
-  ASSERT_EQ(ref.board.message_count(), fro.board.message_count());
-  EXPECT_EQ(ref.board.content_hash(), fro.board.content_hash());
-  EXPECT_EQ(ref.write_order, fro.write_order);
-  EXPECT_EQ(ref.stats.rounds, fro.stats.rounds);
-  EXPECT_EQ(ref.stats.writes, fro.stats.writes);
-  EXPECT_EQ(ref.stats.max_message_bits, fro.stats.max_message_bits);
-  EXPECT_EQ(ref.stats.total_bits, fro.stats.total_bits);
-  EXPECT_EQ(ref.stats.activation_round, fro.stats.activation_round);
-  EXPECT_EQ(ref.stats.write_round, fro.stats.write_round);
-  ASSERT_EQ(ref.trace.size(), fro.trace.size());
+constexpr EngineOptions kTraced{.record_trace = true};
+
+std::vector<NodeId> Candidates(const EngineState& s) {
+  return {s.candidates().begin(), s.candidates().end()};
+}
+
+void ExpectSameResult(const ExecutionResult& ref, const ExecutionResult& got) {
+  EXPECT_EQ(ref.status, got.status);
+  EXPECT_EQ(ref.error, got.error);
+  ASSERT_EQ(ref.board.message_count(), got.board.message_count());
+  EXPECT_EQ(ref.board.content_hash(), got.board.content_hash());
+  EXPECT_EQ(ref.write_order, got.write_order);
+  EXPECT_EQ(ref.stats.rounds, got.stats.rounds);
+  EXPECT_EQ(ref.stats.writes, got.stats.writes);
+  EXPECT_EQ(ref.stats.max_message_bits, got.stats.max_message_bits);
+  EXPECT_EQ(ref.stats.total_bits, got.stats.total_bits);
+  EXPECT_EQ(ref.stats.activation_round, got.stats.activation_round);
+  EXPECT_EQ(ref.stats.write_round, got.stats.write_round);
+  ASSERT_EQ(ref.trace.size(), got.trace.size());
   for (std::size_t i = 0; i < ref.trace.size(); ++i) {
-    EXPECT_EQ(ref.trace[i].round, fro.trace[i].round) << "trace event " << i;
-    EXPECT_EQ(ref.trace[i].kind, fro.trace[i].kind) << "trace event " << i;
-    EXPECT_EQ(ref.trace[i].node, fro.trace[i].node) << "trace event " << i;
+    EXPECT_EQ(ref.trace[i].round, got.trace[i].round) << "trace event " << i;
+    EXPECT_EQ(ref.trace[i].kind, got.trace[i].kind) << "trace event " << i;
+    EXPECT_EQ(ref.trace[i].node, got.trace[i].node) << "trace event " << i;
   }
 }
 
-/// Explores every adversary schedule, advancing a reference state and a
-/// frontier state in lockstep and comparing all observables at each round.
-/// Branching copies both states (EngineState copies are cheap; the frontier
-/// engine does not support journaling, by design).
+/// Explores every adversary schedule three ways at once: copies of a state
+/// running `p` as it claims, copies of one running WithoutLocality(p), and
+/// one journaling state of `p` that branches by checkpoint/write_node and
+/// undoes each branch by rewind. All observables are compared at each round.
 class LockstepExplorer {
  public:
-  LockstepExplorer(const Graph& g, const Protocol& p) : graph_(g) {
-    EngineOptions ref_opts{.record_trace = true};
-    EngineOptions fro_opts{.record_trace = true, .frontier = true};
-    Explore(EngineState(g, p, ref_opts), EngineState(g, p, fro_opts));
+  LockstepExplorer(const Graph& g, const Protocol& p)
+      : graph_(g), unclaimed_(p), journaled_(g, p, kTraced) {
+    journaled_.set_journaling(true);
+    Explore(EngineState(g, p, kTraced), EngineState(g, unclaimed_, kTraced));
   }
 
   [[nodiscard]] std::size_t executions() const { return executions_; }
 
  private:
-  void Explore(EngineState ref, EngineState fro) {
-    while (true) {
-      ref.begin_round();
-      fro.begin_round();
-      ASSERT_EQ(ref.terminal(), fro.terminal())
-          << "round " << ref.round() << " on n=" << graph_.node_count();
-      ASSERT_EQ(ref.round(), fro.round());
-      if (ref.terminal()) {
-        ExpectSameResult(std::move(ref).finish(), std::move(fro).finish());
-        ++executions_;
-        return;
-      }
-      const std::vector<NodeId> cands(ref.candidates().begin(),
-                                      ref.candidates().end());
-      const std::vector<NodeId> fro_cands(fro.candidates().begin(),
-                                          fro.candidates().end());
-      ASSERT_EQ(cands, fro_cands) << "round " << ref.round();
-      if (cands.size() == 1) {
-        ref.write(0);
-        fro.write(0);
-        continue;
-      }
+  // Returns with journaled_ rewound to how it found it (unless an assertion
+  // failed, which ends the whole exploration).
+  void Explore(EngineState claimed, EngineState unclaimed) {
+    // A write that ended the run is a leaf with no round of its own.
+    std::optional<EngineState::Checkpoint> pre_round;
+    if (!journaled_.terminal()) pre_round = journaled_.checkpoint();
+    claimed.begin_round();
+    unclaimed.begin_round();
+    journaled_.begin_round();
+    ASSERT_EQ(claimed.terminal(), unclaimed.terminal())
+        << "round " << claimed.round() << " on n=" << graph_.node_count();
+    ASSERT_EQ(claimed.terminal(), journaled_.terminal());
+    ASSERT_EQ(claimed.round(), unclaimed.round());
+    ASSERT_EQ(claimed.round(), journaled_.round());
+    if (claimed.terminal()) {
+      const ExecutionResult result = std::move(claimed).finish();
+      ExpectSameResult(result, std::move(unclaimed).finish());
+      ExpectSameResult(result, journaled_.finish());
+      ++executions_;
+    } else {
+      const std::vector<NodeId> cands = Candidates(claimed);
+      ASSERT_EQ(cands, Candidates(unclaimed)) << "round " << claimed.round();
+      ASSERT_EQ(cands, Candidates(journaled_)) << "round " << claimed.round();
+      const EngineState::Checkpoint pre_write = journaled_.checkpoint();
       for (std::size_t i = 0; i < cands.size(); ++i) {
-        EngineState ref_branch = ref;
-        EngineState fro_branch = fro;
-        ref_branch.write(i);
-        fro_branch.write(i);
-        Explore(std::move(ref_branch), std::move(fro_branch));
+        EngineState claimed_branch = claimed;
+        EngineState unclaimed_branch = unclaimed;
+        claimed_branch.write(i);
+        unclaimed_branch.write(i);
+        journaled_.write_node(cands[i]);
+        Explore(std::move(claimed_branch), std::move(unclaimed_branch));
         if (::testing::Test::HasFatalFailure()) return;
+        journaled_.rewind(pre_write);
+        ASSERT_EQ(Candidates(journaled_), cands)
+            << "candidates after rewinding round " << claimed.round();
       }
-      return;
     }
+    if (pre_round.has_value()) journaled_.rewind(*pre_round);
   }
 
   const Graph& graph_;
+  const testing::WithoutLocality unclaimed_;
+  EngineState journaled_;
   std::size_t executions_ = 0;
 };
 
@@ -122,7 +139,20 @@ void ExhaustiveEquivalence(const Protocol& p) {
 }
 
 // --- Exhaustive lockstep across the protocol zoo ---
-// Locality-claiming protocols (the shortcut paths must stay bit-identical):
+// Locality-claiming protocols (the neighbour walk must match asking every
+// awake node):
+
+TEST(FrontierEquivalence, RumorExhaustive) {
+  ExhaustiveEquivalence(testing::RumorProtocol{});
+}
+
+TEST(FrontierEquivalence, GossipCountExhaustive) {
+  ExhaustiveEquivalence(testing::GossipCountProtocol{});
+}
+
+// Protocols with no locality claim (both copies take the same walk; the
+// journaled state still has to match them), including async, deadlocking,
+// overflowing, and class-violating specimens:
 
 TEST(FrontierEquivalence, SyncBfsExhaustive) {
   ExhaustiveEquivalence(SyncBfsProtocol{});
@@ -136,18 +166,6 @@ TEST(FrontierEquivalence, RootedMisExhaustive) {
   ExhaustiveEquivalence(RootedMisProtocol(1));
   ExhaustiveEquivalence(RootedMisProtocol(3));
 }
-
-TEST(FrontierEquivalence, RumorExhaustive) {
-  ExhaustiveEquivalence(testing::RumorProtocol{});
-}
-
-TEST(FrontierEquivalence, GossipCountExhaustive) {
-  ExhaustiveEquivalence(testing::GossipCountProtocol{});
-}
-
-// Protocols with no locality claim (frontier mode must fall back to full
-// rescans and still match), including async, deadlocking, overflowing, and
-// class-violating specimens:
 
 TEST(FrontierEquivalence, TwoCliquesExhaustive) {
   TwoCliquesProtocol p;
@@ -189,6 +207,10 @@ TEST(FrontierEquivalence, OversizeOverflowExhaustive) {
   ExhaustiveEquivalence(testing::OversizeProtocol{});
 }
 
+TEST(FrontierEquivalence, MidRoundOverflowExhaustive) {
+  ExhaustiveEquivalence(testing::MidRoundOverflowProtocol{});
+}
+
 TEST(FrontierEquivalence, InOrderOnlyFailingWritesExhaustive) {
   ExhaustiveEquivalence(testing::InOrderOnlyProtocol{});
 }
@@ -199,14 +221,27 @@ TEST(FrontierEquivalence, LazySimSyncProtocolErrorExhaustive) {
 
 // --- Deep single-schedule runs on larger instances ---
 
+/// run_protocol on WithoutLocality(p) against `p` on a journaling state that
+/// detours at every round: it writes the last candidate, runs the next
+/// round, and rewinds before taking the adversary's pick.
 void DeepEquivalence(const Graph& g, const Protocol& p, Adversary& adv) {
+  const testing::WithoutLocality unclaimed(p);
+  const ExecutionResult ref = run_protocol(g, unclaimed, adv, kTraced);
   adv.reset();
-  ExecutionResult ref =
-      run_protocol(g, p, adv, EngineOptions{.record_trace = true});
-  adv.reset();
-  ExecutionResult fro = run_protocol(
-      g, p, adv, EngineOptions{.record_trace = true, .frontier = true});
-  ExpectSameResult(ref, fro);
+  EngineState s(g, p, kTraced);
+  s.set_journaling(true);
+  while (true) {
+    s.begin_round();
+    if (s.terminal()) break;
+    const std::vector<NodeId> cands = Candidates(s);
+    const EngineState::Checkpoint cp = s.checkpoint();
+    s.write(cands.size() - 1);
+    s.begin_round();
+    s.rewind(cp);
+    ASSERT_EQ(Candidates(s), cands) << "round " << s.round();
+    s.write(adv.choose(s.candidates(), s.board(), s.round()));
+  }
+  ExpectSameResult(ref, std::move(s).finish());
 }
 
 TEST(FrontierDeep, SyncBfsLargerGraphs) {
@@ -240,8 +275,7 @@ TEST(FrontierDeep, RumorFloodLargerGraphs) {
   testing::RumorProtocol p;
   FirstAdversary first;
   RandomAdversary random(31337);
-  // Star: hub degree >> awake-set size exercises the bottom-up activation
-  // scan; path: degree 2 << awake-set size exercises top-down.
+  // Star: one writer wakes everyone; path: each writer wakes one neighbour.
   for (const Graph& g : {star_graph(80), path_graph(60), grid_graph(6, 6)}) {
     DeepEquivalence(g, p, first);
     DeepEquivalence(g, p, random);
@@ -257,19 +291,12 @@ TEST(FrontierDeep, GossipCountLargerGraphs) {
   }
 }
 
-// --- Frontier-specific engine semantics ---
-
-TEST(FrontierEngine, JournalingIsRejected) {
-  const Graph g = path_graph(3);
-  SyncBfsProtocol p;
-  EngineState s(g, p, EngineOptions{.frontier = true});
-  EXPECT_THROW(s.set_journaling(true), LogicError);
-}
+// --- Engine set semantics ---
 
 TEST(FrontierEngine, SucceedsOnStar) {
   const Graph g = star_graph(32);
   SyncBfsProtocol p;
-  ExecutionResult r = run_protocol(g, p, EngineOptions{.frontier = true});
+  ExecutionResult r = run_protocol(g, p);
   EXPECT_EQ(r.status, RunStatus::kSuccess);
   EXPECT_EQ(r.stats.writes, g.node_count());
   const BfsProtocolOutput out = p.output(r.board, g.node_count());
@@ -283,16 +310,20 @@ TEST(FrontierEngine, SucceedsOnStar) {
 
 TEST(FrontierEngine, WriteNodeKeepsCandidatesInvariant) {
   // write_node must erase exactly the written node from the (sorted)
-  // candidate buffer in frontier mode, so a caller-driven schedule works.
+  // candidate set, and rewind must put it back, so a caller-driven schedule
+  // works.
   const Graph g = complete_graph(4);
   testing::EchoIdProtocol p;
-  EngineState s(g, p, EngineOptions{.frontier = true});
+  EngineState s(g, p);
+  s.set_journaling(true);
   s.begin_round();
   ASSERT_EQ(s.candidates().size(), 4u);
+  const EngineState::Checkpoint cp = s.checkpoint();
   s.write_node(3);
-  const std::vector<NodeId> expect{1, 2, 4};
-  EXPECT_TRUE(std::equal(s.candidates().begin(), s.candidates().end(),
-                         expect.begin(), expect.end()));
+  EXPECT_EQ(Candidates(s), (std::vector<NodeId>{1, 2, 4}));
+  s.rewind(cp);
+  EXPECT_EQ(Candidates(s), (std::vector<NodeId>{1, 2, 3, 4}));
+  s.write_node(3);
   s.begin_round();
   s.write_node(1);
   s.begin_round();

@@ -1,5 +1,7 @@
 // Miniature protocols used only by the engine/explorer tests: well-behaved,
-// deliberately misbehaving, and class-violating specimens.
+// deliberately misbehaving, and class-violating specimens, plus the two
+// that claim FrontierLocality (RumorProtocol, GossipCountProtocol) and the
+// WithoutLocality decorator their claims are checked against.
 #pragma once
 
 #include "src/protocols/codec.h"
@@ -130,6 +132,35 @@ class InOrderOnlyProtocol final : public SimSyncProtocol<int> {
   std::string name() const override { return "in-order-only"; }
 };
 
+/// ASYNC protocol whose round can fail after some of its activations: nodes
+/// 1, 2 and n activate on the empty board, everyone else once the board is
+/// nonempty, and node 3's frozen message overflows the bound when node 2
+/// wrote first. Schedules that write node 2 first end in round 2 with
+/// kMessageOverflow after node 3 activated; the rest succeed.
+class MidRoundOverflowProtocol final : public ProtocolWithOutput<int> {
+ public:
+  ModelClass model_class() const override { return ModelClass::kAsync; }
+  std::size_t message_bit_limit(std::size_t n) const override {
+    return static_cast<std::size_t>(codec::id_bits(n));
+  }
+  bool activate(const LocalView& view, const Whiteboard& board) const override {
+    return view.id() <= 2 || view.id() == view.n() || !board.empty();
+  }
+  Bits compose(const LocalView& view, const Whiteboard& board) const override {
+    BitWriter w;
+    codec::write_id(w, view.id(), view.n());
+    if (view.id() == 3 && !board.empty()) {
+      BitReader r(board.message(0));
+      if (codec::read_id(r, view.n()) == 2) w.write_bit(true);
+    }
+    return w.take();
+  }
+  int output(const Whiteboard& board, std::size_t) const override {
+    return static_cast<int>(board.message_count());
+  }
+  std::string name() const override { return "mid-round-overflow"; }
+};
+
 /// ASYNC variant of BoardSizeProtocol: everyone activates immediately, the
 /// message is frozen at activation, so every node writes the activation-time
 /// board size (0), not the write-time size.
@@ -159,11 +190,11 @@ class FrozenBoardSizeProtocol final : public ProtocolWithOutput<int> {
   std::string name() const override { return "frozen-board-size"; }
 };
 
-/// ASYNC rumor flood exercising the frontier engine's *activation* locality:
-/// node 1 activates on the empty board; everyone else activates once a
-/// neighbor's message (an echoed ID) is on the board. The activation verdict
-/// depends only on neighbor-authored messages, so the protocol honestly
-/// claims activation locality.
+/// ASYNC rumor flood exercising the engine's neighbour walk: node 1
+/// activates on the empty board; everyone else activates once a neighbor's
+/// message (an echoed ID) is on the board. The activation verdict depends
+/// only on neighbor-authored messages, so the protocol honestly claims
+/// activation locality.
 class RumorProtocol final : public ProtocolWithOutput<int> {
  public:
   ModelClass model_class() const override { return ModelClass::kAsync; }
@@ -195,8 +226,8 @@ class RumorProtocol final : public ProtocolWithOutput<int> {
 
 /// SYNC cousin of RumorProtocol: same neighbor-triggered activation, but the
 /// message is (own ID, #neighbor messages on the board when it is written) —
-/// exercising write-time composition together with the frontier engine's
-/// local activation paths (top-down and bottom-up).
+/// exercising write-time composition together with the engine's neighbour
+/// walk.
 class GossipCountProtocol final : public ProtocolWithOutput<int> {
  public:
   ModelClass model_class() const override { return ModelClass::kSync; }
@@ -236,6 +267,32 @@ class GossipCountProtocol final : public ProtocolWithOutput<int> {
     return sum;
   }
   std::string name() const override { return "gossip-count"; }
+};
+
+/// Forwards every callback of the protocol it wraps but claims no
+/// FrontierLocality, so the engine asks every awake node each round: the
+/// baseline a locality claim must reproduce bit for bit.
+class WithoutLocality final : public Protocol {
+ public:
+  explicit WithoutLocality(const Protocol& inner) : inner_(inner) {}
+  ModelClass model_class() const override { return inner_.model_class(); }
+  std::size_t message_bit_limit(std::size_t n) const override {
+    return inner_.message_bit_limit(n);
+  }
+  bool activate(const LocalView& view, const Whiteboard& board) const override {
+    return inner_.activate(view, board);
+  }
+  Bits compose(const LocalView& view, const Whiteboard& board) const override {
+    return inner_.compose(view, board);
+  }
+  Bits compose(const LocalView& view, const Whiteboard& board,
+               BitWriter& scratch) const override {
+    return inner_.compose(view, board, scratch);
+  }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  const Protocol& inner_;
 };
 
 }  // namespace wb::testing
