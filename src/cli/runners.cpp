@@ -282,8 +282,8 @@ RunReport run_exhaustive_memoized(const ProtocolCase& c, const Graph& g,
 /// concurrently on pool workers; the shared state is the atomic tallies
 /// (and the counterexample tracker's mutex, touched only on failures).
 /// Distinct boards stream through one DistinctAccumulator per subtree task
-/// (exact sorted-run dedup or an hll sketch, per ropts.distinct) folded by
-/// the accumulator's order-oblivious merge — the same aggregation shape
+/// (exact sorted-run dedup or an hll sketch, per ropts.distinct), merged
+/// order-obliviously by merge_accumulators — the same aggregation shape
 /// shard::run_shard uses.
 RunReport run_exhaustive(const ProtocolCase& c, const Graph& g,
                          const ExhaustiveRunOptions& ropts) {
@@ -336,15 +336,8 @@ RunReport run_exhaustive(const ProtocolCase& c, const Graph& g,
         return true;
       },
       opts);
-  std::uint64_t distinct = 0;
-  if (!accumulators.empty()) {
-    std::unique_ptr<DistinctAccumulator> total =
-        std::move(accumulators.front());
-    for (std::size_t t = 1; t < accumulators.size(); ++t) {
-      total->merge(std::move(*accumulators[t]));
-    }
-    distinct = total->estimate();
-  }
+  const std::uint64_t distinct =
+      merge_accumulators(std::move(accumulators), opts.threads)->estimate();
 
   RunReport report = sweep_report(
       "exhaustive(threads=" + std::to_string(opts.threads) + ")", executions,

@@ -1,5 +1,6 @@
 #include "src/protocols/two_cliques.h"
 
+#include <utility>
 #include <vector>
 
 #include "src/protocols/codec.h"
@@ -27,6 +28,35 @@ CliqueMessage parse(const Bits& m, std::size_t n) {
   return {id, code};
 }
 
+/// The board decoded once per message: for each ID, a mask with bit c set
+/// when some message (ID, c) is on the board. Duplicate IDs on a corrupted
+/// board OR their codes together, as a scan over every message would. The
+/// undo log (ID, previous mask) makes unfolding the newest message O(1).
+struct SideMasks {
+  std::vector<std::uint8_t> mask;  // indexed by ID
+  std::vector<std::pair<NodeId, std::uint8_t>> undo;
+};
+
+const SideMasks& side_masks(const Whiteboard& board, std::size_t n) {
+  return board.cached_view<SideMasks>(
+      [n] {
+        SideMasks v;
+        v.mask.assign(n + 1, 0);
+        v.undo.reserve(n);
+        return v;
+      },
+      [n](SideMasks& v, const Bits& m) {
+        const CliqueMessage msg = parse(m, n);
+        v.undo.emplace_back(msg.id, v.mask[msg.id]);
+        v.mask[msg.id] |= static_cast<std::uint8_t>(1u << msg.code);
+      },
+      [](SideMasks& v, const Bits&) {
+        const auto [id, previous] = v.undo.back();
+        v.undo.pop_back();
+        v.mask[id] = previous;
+      });
+}
+
 }  // namespace
 
 std::size_t TwoCliquesProtocol::message_bit_limit(std::size_t n) const {
@@ -47,19 +77,17 @@ Bits TwoCliquesProtocol::compose(const LocalView& view,
   if (board.empty()) {
     code = kSide0;  // "I am the first" — valid exactly when chosen first
   } else {
-    bool saw0 = false, saw1 = false, saw_any_neighbor = false;
-    for (const Bits& m : board.messages()) {
-      const CliqueMessage msg = parse(m, n);
-      if (!view.has_neighbor(msg.id)) continue;
-      saw_any_neighbor = true;
-      if (msg.code == kSide0) saw0 = true;
-      if (msg.code == kSide1) saw1 = true;
-    }
-    if (!saw_any_neighbor) {
-      code = kSide1;
-    } else if (saw0 && saw1) {
+    // Every message is decoded (and validated) by the view; only the
+    // neighbours' codes decide the side.
+    const std::vector<std::uint8_t>& mask = side_masks(board, n).mask;
+    unsigned seen = 0;
+    for (const NodeId u : view.neighbors()) seen |= mask[u];
+    constexpr unsigned kSaw0 = 1u << kSide0, kSaw1 = 1u << kSide1;
+    if (seen == 0) {
+      code = kSide1;  // no neighbour has written yet
+    } else if ((seen & kSaw0) != 0 && (seen & kSaw1) != 0) {
       code = kConflict;
-    } else if (saw1) {
+    } else if ((seen & kSaw1) != 0) {
       code = kSide1;
     } else {
       code = kSide0;

@@ -114,12 +114,15 @@ class StreamingDistinct {
   std::vector<Hash128> run_;  // sorted, unique
 };
 
-/// Union of sorted unique runs into one sorted unique run. Set union is
+/// Union of sorted unique runs into one sorted unique run, as a tree:
+/// pairwise, level by level, each level's pairs on up to `threads` workers
+/// of ThreadPool::shared() (1 = inline; 0 = every pool worker). Set union is
 /// order-oblivious, so the result — and every count derived from it — is
-/// identical for any ordering or grouping of the inputs; this is the merge
-/// step shared by the parallel distinct-board count and the shard layer.
+/// identical for any ordering or grouping of the inputs and any thread
+/// count; this is the merge step shared by the parallel distinct-board count
+/// and the shard layer.
 [[nodiscard]] std::vector<Hash128> union_sorted_runs(
-    std::vector<std::vector<Hash128>> runs);
+    std::vector<std::vector<Hash128>> runs, std::size_t threads = 1);
 
 /// The mergeable accumulator surface. Implementations must make estimate()
 /// a function of the inserted key SET only (see the file comment); merge()
@@ -188,6 +191,15 @@ class HllDistinctAccumulator final : public DistinctAccumulator {
  private:
   HyperLogLog sketch_;
 };
+
+/// Fold the per-task accumulators of one sweep (all of one config, at least
+/// one) into a single accumulator. Exact leaves sort their buffers in
+/// parallel and are unioned as a tree (union_sorted_runs) on up to `threads`
+/// pool workers; hll sketches fold by register max. The result is the same
+/// as folding them one by one with merge(), for any thread count.
+[[nodiscard]] std::unique_ptr<DistinctAccumulator> merge_accumulators(
+    std::vector<std::unique_ptr<DistinctAccumulator>> accumulators,
+    std::size_t threads);
 
 /// Factory keyed by config — the one switch point every sweep goes through.
 [[nodiscard]] std::unique_ptr<DistinctAccumulator> make_distinct_accumulator(

@@ -311,6 +311,9 @@ MemoizedTotals sweep_memoized(
       leaf.wrong_outputs = 1;
     }
     distinct->insert(scratch.board.content_hash());
+    // As in Backtracker::visit_terminal: release the board so the engine is
+    // again its sole owner, and appends and rewinds stay in place.
+    scratch.board = Whiteboard();
     return leaf;
   };
 
@@ -365,8 +368,8 @@ MemoizedTotals sweep_memoized(
 std::uint64_t count_distinct_final_boards(const Graph& g, const Protocol& p,
                                           const ExhaustiveOptions& opts) {
   // Word-wise 128-bit keys through the configured accumulator: one per
-  // subtree task (exclusive to its worker, so no locking), folded afterwards
-  // by the accumulator's order-oblivious merge — identical counts at any
+  // subtree task (exclusive to its worker, so no locking), merged afterwards
+  // by merge_accumulators' order-oblivious tree — identical counts at any
   // thread count for exact (set union) and hll (register max) alike.
   std::vector<std::unique_ptr<DistinctAccumulator>> accumulators;
   explore_all(
@@ -381,12 +384,7 @@ std::uint64_t count_distinct_final_boards(const Graph& g, const Protocol& p,
         accumulators[task]->insert(r.board.content_hash());
         return true;
       });
-  if (accumulators.empty()) return 0;
-  std::unique_ptr<DistinctAccumulator> total = std::move(accumulators.front());
-  for (std::size_t t = 1; t < accumulators.size(); ++t) {
-    total->merge(std::move(*accumulators[t]));
-  }
-  return total->estimate();
+  return merge_accumulators(std::move(accumulators), opts.threads)->estimate();
 }
 
 }  // namespace wb

@@ -913,10 +913,8 @@ ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
     cleared_payload();
     return out;
   }
-  std::unique_ptr<DistinctAccumulator> total = std::move(accumulators.front());
-  for (std::size_t t = 1; t < accumulators.size(); ++t) {
-    total->merge(std::move(*accumulators[t]));
-  }
+  std::unique_ptr<DistinctAccumulator> total =
+      merge_accumulators(std::move(accumulators), opts.threads);
   if (spec.distinct.kind == DistinctKind::kExact) {
     out.board_hashes =
         static_cast<ExactDistinctAccumulator&>(*total).take_sorted();

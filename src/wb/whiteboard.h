@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -28,6 +29,10 @@ namespace wb {
 
 class Whiteboard {
  public:
+  /// Undoes `fold(view, message)` for the newest message of a cached view.
+  template <typename T>
+  using Unfold = void (*)(T& view, const Bits& message);
+
   Whiteboard() = default;
   Whiteboard(const Whiteboard&) = default;
   Whiteboard& operator=(const Whiteboard&) = default;
@@ -68,11 +73,13 @@ class Whiteboard {
 
   /// Drop every message past the first `new_count`. O(messages dropped).
   /// A cached view of a surviving prefix stays valid (the prefix is
-  /// immutable); a view of anything longer is dropped, since the next
-  /// appends may differ from the messages it saw.
+  /// immutable). A view of anything longer is rolled back to the surviving
+  /// prefix when it has an `unfold` and this board is its sole holder;
+  /// otherwise it is dropped, since the next appends may differ from the
+  /// messages it saw and a snapshot may still read it.
   void truncate(std::size_t new_count) {
     WB_CHECK(new_count <= count_);
-    if (cache_ != nullptr && cache_->count > new_count) cache_.reset();
+    if (cache_ != nullptr && cache_->count > new_count) rewind_cache(new_count);
     for (std::size_t i = new_count; i < count_; ++i) {
       total_bits_ -= (*entries_)[i].size();
     }
@@ -116,7 +123,8 @@ class Whiteboard {
 
   /// Memoized decoded view of the board, for views that are a left fold
   /// over the messages: the view of the empty board is `start()`, and
-  /// `fold(view, message)` adds one message.
+  /// `fold(view, message)` adds one message. An optional
+  /// `unfold(view, message)` undoes the fold of the newest message.
   ///
   /// Protocol callbacks are invoked O(n) times per round on the same
   /// whiteboard; parsing the full board in each call makes a run O(n³).
@@ -129,10 +137,18 @@ class Whiteboard {
   /// not typeid. If `fold` throws (a message the protocol cannot decode),
   /// the partial view is discarded and the error propagates.
   ///
-  /// `start` and `fold` must be pure functions of their arguments (the
-  /// requirement §2 places on act/msg themselves).
+  /// truncate() rolls a view with an `unfold` back in place while this
+  /// board is its sole holder, so the backtracking explorer decodes each
+  /// message once per write instead of rebuilding the view after every
+  /// rewind. A view without `unfold`, or one a snapshot shares, is dropped
+  /// and rebuilt on the next read.
+  ///
+  /// `start`, `fold` and `unfold` must be pure functions of their arguments
+  /// (the requirement §2 places on act/msg themselves); `unfold` must not
+  /// throw.
   template <typename T, typename Start, typename Fold>
-  const T& cached_view(const Start& start, const Fold& fold) const {
+  const T& cached_view(const Start& start, const Fold& fold,
+                       Unfold<std::type_identity_t<T>> unfold = nullptr) const {
     CacheSlot<T>* slot = nullptr;
     if (cache_ != nullptr && cache_->tag == type_tag<T>() &&
         (cache_->count == count_ || cache_.use_count() == 1)) {
@@ -141,6 +157,10 @@ class Whiteboard {
       auto fresh = std::make_shared<CacheSlot<T>>();
       fresh->tag = type_tag<T>();
       fresh->value = start();
+      if (unfold != nullptr) {
+        fresh->unfold = unfold;
+        fresh->rollback = &CacheSlot<T>::rollback_to;
+      }
       slot = fresh.get();
       cache_ = std::move(fresh);
     }
@@ -159,11 +179,29 @@ class Whiteboard {
   struct CacheBase {
     const void* tag = nullptr;
     std::size_t count = 0;
+    /// Unfolds the view back to the first `new_count` of `entries`; null
+    /// when the view has no `unfold`.
+    void (*rollback)(CacheBase&, const std::vector<Bits>& entries,
+                     std::size_t new_count) = nullptr;
   };
   template <typename T>
   struct CacheSlot final : CacheBase {
     T value{};
+    Unfold<T> unfold = nullptr;
+
+    static void rollback_to(CacheBase& base, const std::vector<Bits>& entries,
+                            std::size_t new_count) {
+      auto& slot = static_cast<CacheSlot&>(base);
+      for (; slot.count > new_count; --slot.count) {
+        slot.unfold(slot.value, entries[slot.count - 1]);
+      }
+    }
   };
+
+  /// Bring a view that saw past `new_count` back to that prefix: unfold it
+  /// in place when it can and nobody else holds it, drop it otherwise.
+  /// Out of line, so truncate() stays a small inline fast path.
+  void rewind_cache(std::size_t new_count);
 
   /// Address-unique tag per view type (replaces typeid/type_index).
   /// Deliberately non-const: identical-COMDAT folding (e.g. MSVC /OPT:ICF)

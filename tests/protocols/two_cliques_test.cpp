@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
+#include "src/protocols/codec.h"
 #include "src/wb/engine.h"
 #include "src/wb/exhaustive.h"
 
@@ -84,6 +87,129 @@ TEST(TwoCliques, LargerInstancesUnderBattery) {
       ASSERT_TRUE(r.ok());
       EXPECT_FALSE(p.output(r.board, 2 * n).yes) << "n=" << n << " " << adv->name();
     }
+  }
+}
+
+/// The full-scan compose: decode every message on the board, then pick the
+/// side from the neighbours' codes. The protocol's cached compose must
+/// agree with it on every board, corrupted ones included.
+Bits scan_compose(const LocalView& view, const Whiteboard& board) {
+  const std::size_t n = view.n();
+  std::uint64_t code = 0;
+  if (!board.empty()) {
+    bool saw0 = false, saw1 = false, saw_any_neighbor = false;
+    for (const Bits& m : board.messages()) {
+      BitReader r(m);
+      const NodeId id = codec::read_id(r, n);
+      const std::uint64_t c = r.read_uint(2);
+      WB_REQUIRE_MSG(c <= 2, "bad 2-CLIQUES code " << c);
+      WB_REQUIRE_MSG(r.exhausted(), "trailing bits in message of node " << id);
+      if (!view.has_neighbor(id)) continue;
+      saw_any_neighbor = true;
+      saw0 = saw0 || c == 0;
+      saw1 = saw1 || c == 1;
+    }
+    code = !saw_any_neighbor ? 1 : (saw0 && saw1) ? 2 : saw1 ? 1 : 0;
+  }
+  BitWriter w;
+  codec::write_id(w, view.id(), n);
+  w.write_uint(code, 2);
+  return w.take();
+}
+
+/// Every node's compose on the engine's current board equals the scan.
+void expect_compose_matches_scan(const EngineState& s, const Graph& g,
+                                 const TwoCliquesProtocol& p) {
+  for (NodeId v = 1; v <= g.node_count(); ++v) {
+    const LocalView view(v, g.neighbors(v), g.node_count());
+    ASSERT_TRUE(p.compose(view, s.board()) == scan_compose(view, s.board()))
+        << "node " << v << " after " << s.board().message_count()
+        << " messages";
+  }
+}
+
+/// Depth-first over every schedule on one journaling state, checking every
+/// prefix on the way down and again after each write is rewound: the view
+/// rolls back with the board and never serves a rewound branch's messages.
+void walk_every_prefix(EngineState& s, const Graph& g,
+                       const TwoCliquesProtocol& p) {
+  expect_compose_matches_scan(s, g, p);
+  if (s.terminal()) return;
+  const EngineState::Checkpoint pre_round = s.checkpoint();
+  s.begin_round();
+  if (!s.terminal()) {
+    const EngineState::Checkpoint pre_write = s.checkpoint();
+    for (std::size_t i = 0; i < s.candidates().size(); ++i) {
+      s.write_node(s.candidates()[i]);
+      walk_every_prefix(s, g, p);
+      s.rewind(pre_write);
+      expect_compose_matches_scan(s, g, p);
+    }
+  }
+  s.rewind(pre_round);
+}
+
+TEST(TwoCliques, CachedComposeMatchesTheScanAtEveryPrefix) {
+  const TwoCliquesProtocol p;
+  for (const Graph& g :
+       {two_cliques(3), cycle_graph(6), two_cliques_switched(3)}) {
+    EngineState s(g, p);
+    s.set_journaling(true);
+    walk_every_prefix(s, g, p);
+    EXPECT_EQ(s.board().message_count(), 0u);
+  }
+}
+
+Bits clique_message(std::uint64_t raw_id, std::uint64_t code, std::size_t n) {
+  BitWriter w;
+  w.write_uint(raw_id - 1, codec::id_bits(n));
+  w.write_uint(code, 2);
+  return w.take();
+}
+
+TEST(TwoCliques, CachedComposeMatchesTheScanOnCorruptedBoards) {
+  constexpr std::size_t n = 5;
+  const TwoCliquesProtocol p;
+  const std::vector<NodeId> neighbors = {2, 3};
+  const LocalView view(1, neighbors, n);
+  const auto same = [&](const Whiteboard& board) {
+    return p.compose(view, board) == scan_compose(view, board);
+  };
+
+  Whiteboard board;
+  // A conflict code from a non-neighbour leaves the node alone...
+  board.append(clique_message(4, 2, n));
+  EXPECT_TRUE(same(board));
+  EXPECT_TRUE(p.compose(view, board) == clique_message(1, 1, n));
+  // ...a neighbour's decides its side...
+  board.append(clique_message(2, 0, n));
+  EXPECT_TRUE(same(board));
+  EXPECT_TRUE(p.compose(view, board) == clique_message(1, 0, n));
+  // ...and a duplicate of that neighbour on the other side is a conflict,
+  // not a last-writer-wins side 1.
+  board.append(clique_message(2, 1, n));
+  EXPECT_TRUE(same(board));
+  EXPECT_TRUE(p.compose(view, board) == clique_message(1, 2, n));
+  board.truncate(2);
+  EXPECT_TRUE(same(board));
+
+  // An out-of-range ID and trailing bits throw at every compose, however
+  // many well-formed messages follow them.
+  Whiteboard out_of_range = board;
+  out_of_range.append(clique_message(7, 0, n));
+  Whiteboard trailing = board;
+  BitWriter w;
+  w.write_uint(2, codec::id_bits(n));
+  w.write_uint(1, 3);
+  trailing.append(w.take());
+  for (Whiteboard* bad : {&out_of_range, &trailing}) {
+    EXPECT_THROW((void)p.compose(view, *bad), DataError);
+    EXPECT_THROW((void)scan_compose(view, *bad), DataError);
+    bad->append(clique_message(3, 1, n));
+    EXPECT_THROW((void)p.compose(view, *bad), DataError);
+    EXPECT_THROW((void)p.compose(view, *bad), DataError);
+    bad->truncate(2);
+    EXPECT_TRUE(same(*bad));
   }
 }
 

@@ -102,6 +102,43 @@ TEST(DistinctAccumulator, ExactMergeIsOrderObliviousAndExact) {
             whole.take_sorted());
 }
 
+TEST(DistinctAccumulator, TreeMergeMatchesTheSingleStream) {
+  // merge_accumulators unions exact leaves as a tree on the pool: any leaf
+  // count (odd ones leave a run over at some level), empty leaves, and any
+  // thread count give the single stream's keys.
+  for (const std::size_t parts : {1u, 2u, 5u, 7u}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      for (const DistinctConfig config :
+           {DistinctConfig::Exact(), DistinctConfig::Hll(12)}) {
+        std::vector<std::unique_ptr<DistinctAccumulator>> leaves;
+        for (std::size_t k = 0; k < parts; ++k) {
+          leaves.push_back(make_distinct_accumulator(config));
+        }
+        const auto whole = make_distinct_accumulator(config);
+        for (std::uint64_t i = 0; i < 10'000; ++i) {
+          const Hash128 k = key_of(i % 4'096);
+          whole->insert(k);
+          // Leaf 1 (when there is one) stays empty.
+          leaves[parts > 1 && i % parts == 1 ? 0 : i % parts]->insert(k);
+        }
+        const auto total = merge_accumulators(std::move(leaves), threads);
+        EXPECT_EQ(total->config(), config);
+        EXPECT_EQ(total->estimate(), whole->estimate())
+            << parts << " leaves, " << threads << " threads";
+        if (config.kind == DistinctKind::kExact) {
+          auto& merged = static_cast<ExactDistinctAccumulator&>(*total);
+          auto& single = static_cast<ExactDistinctAccumulator&>(*whole);
+          EXPECT_EQ(merged.take_sorted(), single.take_sorted());
+        }
+      }
+    }
+  }
+  std::vector<std::unique_ptr<DistinctAccumulator>> mixed;
+  mixed.push_back(make_distinct_accumulator(DistinctConfig::Exact()));
+  mixed.push_back(make_distinct_accumulator(DistinctConfig::Hll()));
+  EXPECT_THROW((void)merge_accumulators(std::move(mixed), 1), LogicError);
+}
+
 TEST(DistinctAccumulator, HllMergeMatchesSingleStream) {
   auto whole = make_distinct_accumulator(DistinctConfig::Hll(12));
   auto left = make_distinct_accumulator(DistinctConfig::Hll(12));

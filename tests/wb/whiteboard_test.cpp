@@ -169,6 +169,86 @@ TEST(WhiteboardCache, FoldedViewDiscardsAPartialFoldThatThrows) {
             (std::vector<std::size_t>{2}));
 }
 
+/// LengthsView callbacks with an unfold, counting how often each runs.
+struct RollbackFold {
+  int starts = 0;
+  int folds = 0;
+  const LengthsView& view(const Whiteboard& board) {
+    return board.cached_view<LengthsView>(
+        [this] {
+          ++starts;
+          return LengthsView{};
+        },
+        [this](LengthsView& v, const Bits& m) {
+          ++folds;
+          WB_REQUIRE_MSG(m.size() < 8, "undecodable");
+          v.lengths.push_back(m.size());
+        },
+        [](LengthsView& v, const Bits&) { v.lengths.pop_back(); });
+  }
+};
+
+std::vector<std::size_t> lengths_of(const Whiteboard& board) {
+  std::vector<std::size_t> out;
+  for (const Bits& m : board.messages()) out.push_back(m.size());
+  return out;
+}
+
+TEST(WhiteboardCache, ViewWithUnfoldRollsBackAcrossTruncates) {
+  // The explorer's pattern: write, read, rewind, write something else. A
+  // view with an unfold is started once and decodes each write once.
+  Whiteboard board;
+  RollbackFold view;
+  int appended = 0;
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    board.truncate(static_cast<std::size_t>(cycle % 3));
+    for (int k = 0; k < 1 + cycle % 4; ++k) {
+      board.append(bits_of(1, 1 + (cycle + k) % 7));
+      ++appended;
+      EXPECT_EQ(view.view(board).lengths, lengths_of(board));
+    }
+  }
+  EXPECT_EQ(view.starts, 1);
+  EXPECT_EQ(view.folds, appended);
+}
+
+TEST(WhiteboardCache, SnapshotKeepsItsLongerViewAcrossATruncate) {
+  // A view a snapshot shares is dropped, never unfolded under the snapshot.
+  Whiteboard board;
+  RollbackFold view;
+  board.append(bits_of(1, 2));
+  board.append(bits_of(1, 3));
+  board.append(bits_of(1, 4));
+  (void)view.view(board);
+  const Whiteboard snapshot = board;
+  board.truncate(1);
+  EXPECT_EQ(view.view(snapshot).lengths,
+            (std::vector<std::size_t>{2, 3, 4}));
+  EXPECT_EQ(view.starts, 1);
+  board.append(bits_of(1, 5));
+  EXPECT_EQ(view.view(board).lengths, (std::vector<std::size_t>{2, 5}));
+  EXPECT_EQ(view.starts, 2);
+  EXPECT_EQ(view.view(snapshot).lengths,
+            (std::vector<std::size_t>{2, 3, 4}));
+}
+
+TEST(WhiteboardCache, FoldThatThrowsAfterARollbackIsDiscarded) {
+  Whiteboard board;
+  RollbackFold view;
+  board.append(bits_of(1, 2));
+  board.append(bits_of(1, 3));
+  (void)view.view(board);
+  board.truncate(1);  // rolled back, not dropped
+  board.append(bits_of(1, 9));
+  EXPECT_THROW((void)view.view(board), DataError);
+  EXPECT_EQ(view.starts, 1);
+  EXPECT_THROW((void)view.view(board), DataError);  // every read, not once
+  EXPECT_EQ(view.starts, 2);
+  board.truncate(1);
+  EXPECT_EQ(view.view(board).lengths, (std::vector<std::size_t>{2}));
+  EXPECT_EQ(view.starts, 3);
+}
+
 TEST(Whiteboard, TruncateUnwindsAppends) {
   Whiteboard board;
   board.append(bits_of(1, 4));
