@@ -44,10 +44,8 @@
 //                                framing overhead the controller pays per
 //                                dispatched shard.
 //
-// CI runs this binary as the Release bench-smoke job and uploads the JSON
-// as BENCH_pr6.json; the committed BENCH_pr{2..6}.json at the repo root are
-// the recorded baselines of that trajectory (tools/bench_diff.py renders a
-// pairwise diff for two files, the full trajectory table for three or more).
+// CI runs this binary as the Release bench-smoke job, merges its JSON into
+// gbench.json, and gates the exhaustive thread-scaling speedup on it.
 #include <benchmark/benchmark.h>
 
 #include <atomic>

@@ -15,8 +15,8 @@
 //    instance through the serial enumerator with and without hash-consed
 //    state memoization; `states_per_schedule` is the collapse headline.
 //
-// CI merges this harness's JSON into BENCH_pr10.json next to the committed
-// BENCH_pr{2..10}.json trajectory (tools/bench_diff.py renders the table).
+// CI merges this harness's JSON into gbench.json with the other
+// microbenchmarks' output.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

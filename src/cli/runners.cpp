@@ -1,10 +1,10 @@
 #include "src/cli/runners.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -78,18 +78,42 @@ void describe_protocol(std::ostream& os, const Protocol& p, const Graph& g) {
   os << "graph      n=" << g.node_count() << " m=" << g.edge_count() << "\n";
 }
 
-/// The executed/correct/status tally every sweep report shares.
-RunReport sweep_report(std::string adversary, std::uint64_t executions,
-                       std::uint64_t engine_failures,
-                       std::uint64_t wrong_outputs) {
+/// The one report every sweep runner ends in: the protocol/graph lines, the
+/// adversary line (`detail` follows a dash when nonempty), then the
+/// `schedules`/`verdict` lines over `distinct` final boards — or, when
+/// `distinct` is empty (a statistical sweep), the sampled-trial verdict.
+/// Memoized and symbolic sweeps pass their counts in a SweepTotals.
+RunReport sweep_report(const Protocol& p, const Graph& g,
+                       std::string adversary, const std::string& detail,
+                       const SweepTotals& totals,
+                       std::optional<std::uint64_t> distinct,
+                       const DistinctConfig& config) {
   RunReport report;
   report.executed = true;
   report.adversary = std::move(adversary);
-  report.executions = executions;
-  report.engine_failures = engine_failures;
-  report.wrong_outputs = wrong_outputs;
-  report.correct = engine_failures + wrong_outputs == 0;
-  report.status = engine_failures == 0 ? "success" : "mixed";
+  report.executions = totals.executions;
+  report.engine_failures = totals.engine_failures;
+  report.wrong_outputs = totals.wrong_outputs;
+  report.fault_worlds = totals.worlds;
+  report.correct = totals.engine_failures + totals.wrong_outputs == 0;
+  report.status = totals.engine_failures == 0 ? "success" : "mixed";
+  std::ostringstream os;
+  describe_protocol(os, p, g);
+  os << "adversary  " << report.adversary;
+  if (!detail.empty()) os << " — " << detail;
+  os << "\n";
+  if (distinct.has_value()) {
+    os << exhaustive_summary_lines(totals.executions, totals.engine_failures,
+                                   totals.wrong_outputs, *distinct, config);
+  } else {
+    report.statistical = true;
+    report.verdict_trials = totals.verdict.trials();
+    report.verdict_failures = totals.verdict.failures();
+    os << "schedules  " << totals.verdict.trials()
+       << " sampled trials (statistical sweep)\n";
+    os << "verdict    " << verdict_summary(totals.verdict) << "\n";
+  }
+  report.summary = os.str();
   return report;
 }
 
@@ -181,64 +205,6 @@ FaultClassifier make_fault_classifier(const ProtocolCase& c) {
   };
 }
 
-/// Fault-model sweep: crash/corruption worlds exhaustively, the adaptive
-/// adversary statistically. Shares report shape (and the `schedules` /
-/// `verdict` line prefixes CI diffs) with the fault-free exhaustive runner.
-RunReport run_exhaustive_faulty(const ProtocolCase& c, const Graph& g,
-                                const ExhaustiveRunOptions& ropts) {
-  const Protocol& protocol = *c.protocol;
-  const FaultClassifier classify = make_fault_classifier(c);
-  const std::string faults = fault_spec_to_string(ropts.faults);
-  std::ostringstream os;
-  describe_protocol(os, protocol, g);
-  RunReport report;
-  const bool adaptive = ropts.faults.kind == FaultKind::kAdaptive;
-  if (adaptive || ropts.statistical_trials > 0) {
-    StatisticalOptions sopts;
-    sopts.trials = adaptive ? ropts.faults.trials : ropts.statistical_trials;
-    sopts.seed = ropts.faults.seed;
-    sopts.threads = ropts.threads;
-    const StatisticalTotals totals =
-        run_statistical_verdict(g, protocol, ropts.faults, classify, sopts);
-    report = sweep_report(std::string(adaptive ? "adaptive" : "statistical") +
-                              "(threads=" + std::to_string(ropts.threads) +
-                              ", faults=" + faults + ")",
-                          totals.verdict.trials(), totals.engine_failures,
-                          totals.wrong_outputs);
-    report.statistical = true;
-    report.verdict_trials = totals.verdict.trials();
-    report.verdict_failures = totals.verdict.failures();
-    report.correct = totals.verdict.failures() == 0;
-    report.status = report.correct ? "success" : "mixed";
-    os << "adversary  " << report.adversary << "\n";
-    os << "schedules  " << totals.verdict.trials()
-       << " sampled trials (statistical sweep)\n";
-    os << "verdict    " << verdict_summary(totals.verdict) << "\n";
-  } else {
-    ExhaustiveOptions opts;
-    opts.threads = ropts.threads;
-    opts.max_executions = ropts.max_executions;
-    opts.distinct = ropts.distinct;
-    const FaultSweepTotals totals =
-        sweep_faulty_executions(g, protocol, ropts.faults, classify, opts);
-    report = sweep_report("exhaustive(threads=" +
-                              std::to_string(ropts.threads) +
-                              ", faults=" + faults + ")",
-                          totals.executions, totals.engine_failures,
-                          totals.wrong_outputs);
-    report.fault_worlds = totals.worlds;
-    os << "adversary  " << report.adversary << " — " << totals.worlds
-       << " fault worlds\n";
-    const std::uint64_t distinct =
-        totals.distinct != nullptr ? totals.distinct->estimate() : 0;
-    os << exhaustive_summary_lines(totals.executions, totals.engine_failures,
-                                   totals.wrong_outputs, distinct,
-                                   ropts.distinct);
-  }
-  report.summary = os.str();
-  return report;
-}
-
 /// Memoized exhaustive sweep (wb::sweep_memoized): serial sweep answering
 /// repeated engine states from a memo table. The schedules/verdict lines
 /// are byte-identical to the unmemoized serial sweep's; the adversary line
@@ -261,30 +227,26 @@ RunReport run_exhaustive_memoized(const ProtocolCase& c, const Graph& g,
       g, *c.protocol,
       [&c](const ExecutionResult& r) { return judge(c, r.board); }, opts);
 
-  RunReport report =
-      sweep_report("exhaustive(threads=1, memoize)", totals.executions,
-                   totals.engine_failures, totals.wrong_outputs);
-  std::ostringstream os;
-  describe_protocol(os, *c.protocol, g);
-  os << "adversary  " << report.adversary << " — " << totals.states_explored
-     << " states, " << totals.memo_hits << " memo hits, "
-     << totals.terminals_visited << " terminals visited\n";
-  os << exhaustive_summary_lines(totals.executions, totals.engine_failures,
-                                 totals.wrong_outputs, totals.distinct,
-                                 ropts.distinct);
-  report.summary = os.str();
-  return report;
+  return sweep_report(
+      *c.protocol, g, "exhaustive(threads=1, memoize)",
+      std::to_string(totals.states_explored) + " states, " +
+          std::to_string(totals.memo_hits) + " memo hits, " +
+          std::to_string(totals.terminals_visited) + " terminals visited",
+      {.executions = totals.executions,
+       .engine_failures = totals.engine_failures,
+       .wrong_outputs = totals.wrong_outputs},
+      totals.distinct, ropts.distinct);
 }
 
-/// Exhaustive sweep: one report aggregating every adversary schedule, from a
-/// SINGLE sweep — output validation and the distinct-board tally share one
-/// visitor instead of exploring the n! tree twice. The visitor runs
-/// concurrently on pool workers; the shared state is the atomic tallies
-/// (and the counterexample tracker's mutex, touched only on failures).
-/// Distinct boards stream through one DistinctAccumulator per subtree task
-/// (exact sorted-run dedup or an hll sketch, per ropts.distinct), merged
-/// order-obliviously by merge_accumulators — the same aggregation shape
-/// shard::run_shard uses.
+/// Exhaustive or statistical sweep of one case: the thread-shaped plan
+/// (every fault world's tree split by partition_for_threads) through
+/// wb::sweep and the case's fault classifier, or — adaptive faults and
+/// statistical_trials — run_statistical_verdict; then the one report.
+/// Every execution is classified, visitors run concurrently on pool
+/// workers, and the totals are deterministic at any thread count. With
+/// ropts.counterexample the failure callback keeps the smallest failing
+/// schedule; the serial sweep stops at its first failure, which DFS order
+/// makes the minimum.
 RunReport run_exhaustive(const ProtocolCase& c, const Graph& g,
                          const ExhaustiveRunOptions& ropts) {
   if (ropts.memoize) {
@@ -292,63 +254,51 @@ RunReport run_exhaustive(const ProtocolCase& c, const Graph& g,
     // rejection instead of silently dropping the flag.
     return run_exhaustive_memoized(c, g, ropts);
   }
-  if (ropts.faults.kind != FaultKind::kNone || ropts.statistical_trials > 0) {
-    return run_exhaustive_faulty(c, g, ropts);
-  }
   const Protocol& protocol = *c.protocol;
+  const FaultClassifier classify = make_fault_classifier(c);
+  const std::string threads = "(threads=" + std::to_string(ropts.threads);
+  const std::string faults =
+      ", faults=" + fault_spec_to_string(ropts.faults) + ")";
+  const bool adaptive = ropts.faults.kind == FaultKind::kAdaptive;
+  if (adaptive || ropts.statistical_trials > 0) {
+    StatisticalOptions sopts;
+    sopts.trials = adaptive ? ropts.faults.trials : ropts.statistical_trials;
+    sopts.seed = ropts.faults.seed;
+    sopts.threads = ropts.threads;
+    return sweep_report(
+        protocol, g, (adaptive ? "adaptive" : "statistical") + threads + faults,
+        "",
+        run_statistical_verdict(g, protocol, ropts.faults, classify, sopts),
+        std::nullopt, ropts.distinct);
+  }
+  const bool fault_free = ropts.faults.kind == FaultKind::kNone;
   ExhaustiveOptions opts;
   opts.threads = ropts.threads;
   opts.max_executions = ropts.max_executions;
   opts.distinct = ropts.distinct;
-  const std::vector<PrefixTask> tasks =
-      partition_for_threads(g, protocol, opts.engine, opts.threads);
-  std::atomic<std::uint64_t> engine_failures{0};
-  std::atomic<std::uint64_t> wrong_outputs{0};
-  std::vector<std::unique_ptr<DistinctAccumulator>> accumulators;
-  accumulators.reserve(tasks.size());
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    accumulators.push_back(make_distinct_accumulator(ropts.distinct));
-  }
   CounterexampleTracker cx;
-  // The serial DFS visits schedules in lexicographic write-order, so its
-  // first failure IS the minimum and the sweep may stop there; parallel
-  // sweeps must keep going and take the minimum over every failure.
   const bool stop_at_first_failure = ropts.counterexample && opts.threads == 1;
-  const std::uint64_t executions = for_each_execution_under(
-      g, protocol, tasks,
-      [&](const ExecutionResult& r, std::size_t task) {
-        accumulators[task]->insert(r.board.content_hash());
-        if (!r.ok()) {
-          engine_failures.fetch_add(1, std::memory_order_relaxed);
-          if (ropts.counterexample) {
-            cx.record(r, status_name(r.status).data());
-            return !stop_at_first_failure;
-          }
-          return true;
-        }
-        if (!judge(c, r.board)) {
-          wrong_outputs.fetch_add(1, std::memory_order_relaxed);
-          if (ropts.counterexample) {
-            cx.record(r, "wrong-output");
-            return !stop_at_first_failure;
-          }
-        }
-        return true;
-      },
-      opts);
-  const std::uint64_t distinct =
-      merge_accumulators(std::move(accumulators), opts.threads)->estimate();
-
-  RunReport report = sweep_report(
-      "exhaustive(threads=" + std::to_string(opts.threads) + ")", executions,
-      engine_failures.load(), wrong_outputs.load());
-  std::ostringstream os;
-  describe_protocol(os, protocol, g);
-  os << "adversary  " << report.adversary << "\n";
-  os << exhaustive_summary_lines(executions, report.engine_failures,
-                                 report.wrong_outputs, distinct,
-                                 ropts.distinct);
+  FailureVisitor on_failure;
   if (ropts.counterexample) {
+    on_failure = [&cx, stop_at_first_failure](const ExecutionResult& r,
+                                              FaultVerdict v) {
+      cx.record(r, v == FaultVerdict::kWrongOutput
+                       ? "wrong-output"
+                       : status_name(r.status).data());
+      return !stop_at_first_failure;
+    };
+  }
+  const SweepTotals totals = sweep(
+      g, protocol, ropts.faults,
+      partition_fault_tasks_for_threads(g, protocol, ropts.faults,
+                                        opts.engine, opts.threads),
+      classify, opts, on_failure);
+  RunReport report = sweep_report(
+      protocol, g, "exhaustive" + threads + (fault_free ? ")" : faults),
+      fault_free ? "" : std::to_string(totals.worlds) + " fault worlds",
+      totals, totals.distinct->estimate(), ropts.distinct);
+  if (ropts.counterexample) {
+    std::ostringstream os;
     if (cx.found) {
       report.counterexample = cx.order_text();
       os << "counterexample " << report.counterexample << " (" << cx.status
@@ -360,8 +310,8 @@ RunReport run_exhaustive(const ProtocolCase& c, const Graph& g,
     } else {
       os << "counterexample none\n";
     }
+    report.summary += os.str();
   }
-  report.summary = os.str();
   return report;
 }
 
@@ -644,26 +594,27 @@ RunReport run_protocol_spec_symbolic(const std::string& spec, const Graph& g,
       [&c](const ExecutionResult& r) { return judge(c, r.board); }, opts);
 
   RunReport report = sweep_report(
+      *c.protocol, g,
       "symbolic(order=" + sym::to_string(opts.order) +
           ", engine=" + sym::to_string(totals.engine) + ")",
-      totals.executions, totals.engine_failures, totals.wrong_outputs);
+      std::to_string(totals.vars) + " vars, " + std::to_string(totals.layers) +
+          " layers, 0 schedules enumerated",
+      {.executions = totals.executions,
+       .engine_failures = totals.engine_failures,
+       .wrong_outputs = totals.wrong_outputs},
+      // DistinctConfig{} (exact): the symbolic distinct count is exact by
+      // construction, and the default config keeps these lines
+      // byte-identical to the `exhaustive:1` oracle's — what the CI smoke
+      // diffs.
+      totals.distinct, DistinctConfig{});
   std::ostringstream os;
-  describe_protocol(os, *c.protocol, g);
-  os << "adversary  " << report.adversary << " — " << totals.vars << " vars, "
-     << totals.layers << " layers, 0 schedules enumerated\n";
-  // DistinctConfig{} (exact): the symbolic distinct count is exact by
-  // construction, and the default config keeps these lines byte-identical
-  // to the `exhaustive:1` oracle's — what the CI smoke diffs.
-  os << exhaustive_summary_lines(totals.executions, totals.engine_failures,
-                                 totals.wrong_outputs, totals.distinct,
-                                 DistinctConfig{});
   os << "bdd        " << totals.bdd.nodes << " nodes, " << totals.bdd.cache_hits
      << "/" << totals.bdd.cache_lookups << " cache hits";
   if (totals.engine == sym::SymEngine::kFrontier) {
     os << ", " << totals.states << " frontier states";
   }
   os << "\n";
-  report.summary = os.str();
+  report.summary += os.str();
   return report;
 }
 

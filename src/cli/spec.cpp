@@ -194,7 +194,6 @@ SweepSpec sweep_from_spec(const std::string& spec) {
                  "not an exhaustive spec: '" << spec << "'");
   constexpr std::string_view kShardsKey = "shards=";
   constexpr std::string_view kBudgetKey = "budget=";
-  bool seen_threads = false;
   bool seen_shards = false;
   bool seen_budget = false;
   const auto reject_duplicate = [&](bool seen, const char* what) {
@@ -224,13 +223,10 @@ SweepSpec sweep_from_spec(const std::string& spec) {
       WB_REQUIRE_MSG(out.max_executions >= 1, "budget must be at least 1");
       continue;
     }
-    // A bare number is the thread count; canonically it comes first, but
-    // the legacy `exhaustive:shards=K:T` order is still accepted.
-    reject_duplicate(seen_threads, "thread count");
-    seen_threads = true;
+    // A bare number is the thread count, and it must come first.
     WB_REQUIRE_MSG(
-        !token.empty() && token.find_first_not_of("0123456789") ==
-                              std::string::npos,
+        i == 1 && !token.empty() &&
+            token.find_first_not_of("0123456789") == std::string::npos,
         "expected exhaustive[:THREADS][:shards=K][:budget=N][:faults=F]"
         "[:distinct=exact|hll[:P]], got '"
             << spec << "'");

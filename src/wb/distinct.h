@@ -23,9 +23,10 @@
 // here satisfy it structurally: a sorted-run union and a register-wise max
 // are idempotent, commutative, and associative.
 //
-// The sweep idiom (count_distinct_final_boards, shard::run_shard, the CLI
-// exhaustive runner): one accumulator per subtree task — exclusive to its
-// worker, so inserts need no locking — folded with merge() afterwards.
+// The sweep idiom (count_distinct_final_boards, and wb::sweep behind
+// shard::run_shard and the CLI exhaustive runner): one accumulator per
+// subtree task — exclusive to its worker, so inserts need no locking —
+// folded by merge_accumulators afterwards.
 #pragma once
 
 #include <algorithm>

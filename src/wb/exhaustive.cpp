@@ -17,7 +17,10 @@ namespace {
 /// single source of truth for both the returned total and the budget guard,
 /// so each is thread-count independent; the stop flag is how an early exit,
 /// a budget overrun, or a throwing visitor cancels sibling subtrees.
-struct ExploreControl {
+/// Every worker bumps `visited` on every visit. A cache line of its own keeps
+/// the caller's stack variables that visitors read (a sweep's leaf vector,
+/// its classifier) from sharing the line and missing on each read.
+struct alignas(64) ExploreControl {
   std::uint64_t budget = 0;
   std::atomic<std::uint64_t> visited{0};
   std::atomic<bool> stop{false};

@@ -24,6 +24,9 @@
 // PrefixTask list is public, and for_each_execution_under sweeps an
 // arbitrary subset of subtree tasks, so shards of one sweep can run in
 // different processes (or on different hosts) and be merged afterwards.
+// Judged sweeps — the CLI's exhaustive runner, a shard, a crash or
+// corruption world — all tally through the one wb::sweep (src/wb/faults.h):
+// for_each_execution_under per fault world, one SweepTotals leaf per task.
 //
 // This is the strongest evidence our simulator can produce for the "yes"
 // cells of Table 2, and the machinery behind the minimax searches in the
@@ -115,9 +118,10 @@ struct PrefixTask {
 /// thread, 1 = the single whole-tree task of the serial path; otherwise
 /// several tasks per worker so dynamic claiming load-balances subtrees of
 /// uneven size). This is the one place the load-balancing policy lives —
-/// for_each_execution and the CLI exhaustive runner both partition through
-/// it, so a caller pairing for_each_execution_under with per-task
-/// aggregation sweeps exactly the library's own task shape.
+/// for_each_execution and wb::partition_fault_tasks_for_threads (the CLI
+/// exhaustive runner's plan) both partition through it, so a caller pairing
+/// for_each_execution_under with per-task aggregation sweeps exactly the
+/// library's own task shape.
 [[nodiscard]] std::vector<PrefixTask> partition_for_threads(
     const Graph& g, const Protocol& p, const EngineOptions& eopts,
     std::size_t threads);

@@ -370,127 +370,134 @@ std::uint64_t exhaustive_world_count(const Graph& g, const FaultSpec& faults) {
              : 1;
 }
 
-}  // namespace
-
-std::vector<FaultTask> partition_fault_tasks(const Graph& g, const Protocol& p,
-                                             const FaultSpec& faults,
-                                             const EngineOptions& eopts,
-                                             std::size_t target_tasks) {
+/// Every world's schedule tree split by `partition(world protocol)`.
+template <typename Partition>
+std::vector<FaultTask> partition_worlds(const Graph& g, const Protocol& p,
+                                        const FaultSpec& faults,
+                                        const Partition& partition) {
   WB_CHECK_MSG(faults.kind != FaultKind::kAdaptive,
                "adaptive faults sweep statistically — no exhaustive partition");
-  const std::uint64_t worlds = exhaustive_world_count(g, faults);
-  const std::size_t per_world = static_cast<std::size_t>(
-      std::max<std::uint64_t>(1, target_tasks / worlds));
   std::vector<FaultTask> out;
   WorldProtocol wp;
+  const std::uint64_t worlds = exhaustive_world_count(g, faults);
   for (std::uint64_t w = 0; w < worlds; ++w) {
     make_world(wp, g, p, faults, w);
-    for (const PrefixTask& t :
-         partition_executions(g, wp.active(), eopts, per_world)) {
+    for (const PrefixTask& t : partition(wp.active(), worlds)) {
       out.push_back(FaultTask{w, t});
     }
   }
   return out;
 }
 
-namespace {
+std::uint64_t checked_add(std::uint64_t a, std::uint64_t b, const char* what) {
+  WB_REQUIRE_MSG(b <= std::numeric_limits<std::uint64_t>::max() - a,
+                 "merged " << what << " count overflows 64 bits (" << a
+                           << " + " << b << ")");
+  return a + b;
+}
 
-/// Shared core of sweep_fault_tasks / sweep_faulty_executions: sweep a list
-/// of worlds, each with either a supplied prefix list or (when empty) the
-/// thread-shaped partition, under one global execution budget.
-FaultSweepTotals sweep_worlds(
+}  // namespace
+
+std::vector<FaultTask> partition_fault_tasks(const Graph& g, const Protocol& p,
+                                             const FaultSpec& faults,
+                                             const EngineOptions& eopts,
+                                             std::size_t target_tasks) {
+  return partition_worlds(
+      g, p, faults, [&](const Protocol& wp, std::uint64_t worlds) {
+        return partition_executions(
+            g, wp, eopts,
+            static_cast<std::size_t>(
+                std::max<std::uint64_t>(1, target_tasks / worlds)));
+      });
+}
+
+std::vector<FaultTask> partition_fault_tasks_for_threads(
     const Graph& g, const Protocol& p, const FaultSpec& faults,
-    const std::map<std::uint64_t, std::vector<PrefixTask>>& world_prefixes,
-    bool partition_per_world, const FaultClassifier& classify,
-    const ExhaustiveOptions& opts) {
+    const EngineOptions& eopts, std::size_t threads) {
+  return partition_worlds(g, p, faults,
+                          [&](const Protocol& wp, std::uint64_t) {
+                            return partition_for_threads(g, wp, eopts,
+                                                         threads);
+                          });
+}
+
+SweepTotals SweepTotals::merge(std::vector<SweepTotals> parts,
+                               std::size_t threads) {
+  SweepTotals total;
+  std::uint64_t trials = 0;
+  std::uint64_t failures = 0;
+  std::vector<std::unique_ptr<DistinctAccumulator>> distinct;
+  for (SweepTotals& part : parts) {
+    total.executions =
+        checked_add(total.executions, part.executions, "execution");
+    total.engine_failures = checked_add(total.engine_failures,
+                                        part.engine_failures, "engine-failure");
+    total.wrong_outputs =
+        checked_add(total.wrong_outputs, part.wrong_outputs, "wrong-output");
+    total.worlds = checked_add(total.worlds, part.worlds, "world");
+    trials = checked_add(trials, part.verdict.trials(), "trial");
+    failures = checked_add(failures, part.verdict.failures(), "failure");
+    if (part.distinct != nullptr) distinct.push_back(std::move(part.distinct));
+  }
+  total.verdict = VerdictAccumulator(trials, failures);
+  if (!distinct.empty()) {
+    total.distinct = merge_accumulators(std::move(distinct), threads);
+  }
+  return total;
+}
+
+SweepTotals sweep(const Graph& g, const Protocol& p, const FaultSpec& faults,
+                  std::span<const FaultTask> tasks,
+                  const FaultClassifier& classify,
+                  const ExhaustiveOptions& opts,
+                  const FailureVisitor& on_failure) {
   WB_CHECK_MSG(faults.kind != FaultKind::kAdaptive,
                "adaptive faults sweep statistically — use "
                "run_statistical_verdict");
-  FaultSweepTotals totals;
-  totals.distinct = make_distinct_accumulator(opts.distinct);
+  std::map<std::uint64_t, std::vector<PrefixTask>> by_world;
+  for (const FaultTask& t : tasks) by_world[t.world].push_back(t.prefix);
+  SweepTotals total;
+  total.distinct = make_distinct_accumulator(opts.distinct);
   std::uint64_t remaining = opts.max_executions;
-  std::atomic<std::uint64_t> engine_failures{0};
-  std::atomic<std::uint64_t> wrong_outputs{0};
+  std::atomic<bool> stopped{false};
   WorldProtocol wp;
-  std::vector<PrefixTask> scratch;
-  for (const auto& [world, prefixes] : world_prefixes) {
+  for (const auto& [world, prefixes] : by_world) {
+    if (stopped.load(std::memory_order_relaxed)) break;
     make_world(wp, g, p, faults, world);
     const std::span<const NodeId> crashed = wp.crashed();
-    const std::vector<PrefixTask>* tasks = &prefixes;
-    if (partition_per_world) {
-      scratch =
-          partition_for_threads(g, wp.active(), opts.engine, opts.threads);
-      tasks = &scratch;
-    }
-    std::vector<std::unique_ptr<DistinctAccumulator>> acc;
-    acc.reserve(tasks->size());
-    for (std::size_t i = 0; i < tasks->size(); ++i) {
-      acc.push_back(make_distinct_accumulator(opts.distinct));
+    // One leaf per task: a task runs on one worker, so no locking.
+    std::vector<SweepTotals> leaves(prefixes.size());
+    for (SweepTotals& leaf : leaves) {
+      leaf.distinct = make_distinct_accumulator(opts.distinct);
     }
     ExhaustiveOptions wopts = opts;
     wopts.max_executions = remaining;
-    std::uint64_t visited = 0;
     try {
-      visited = for_each_execution_under(
-          g, wp.active(), *tasks,
-          [&](const ExecutionResult& r, std::size_t task_idx) {
-            acc[task_idx]->insert(r.board.content_hash());
-            switch (classify(r, crashed)) {
-              case FaultVerdict::kCorrect:
-                break;
-              case FaultVerdict::kWrongOutput:
-                wrong_outputs.fetch_add(1, std::memory_order_relaxed);
-                break;
-              case FaultVerdict::kDeadlockOrFault:
-                engine_failures.fetch_add(1, std::memory_order_relaxed);
-                break;
+      remaining -= for_each_execution_under(
+          g, wp.active(), prefixes,
+          [&](const ExecutionResult& r, std::size_t task) {
+            const FaultVerdict v = classify(r, crashed);
+            leaves[task].record(v);
+            leaves[task].distinct->insert(r.board.content_hash());
+            if (v == FaultVerdict::kCorrect || on_failure == nullptr ||
+                on_failure(r, v)) {
+              return true;
             }
-            return true;
+            stopped.store(true, std::memory_order_relaxed);
+            return false;
           },
           wopts);
     } catch (const BudgetExceededError&) {
       // Re-badge the per-world remainder as the caller's global budget.
       throw BudgetExceededError(opts.max_executions);
     }
-    totals.executions += visited;
-    remaining -= visited;
-    for (auto& a : acc) totals.distinct->merge(std::move(*a));
-    ++totals.worlds;
+    std::vector<SweepTotals> fold(2);
+    fold[0] = std::move(total);
+    fold[1] = SweepTotals::merge(std::move(leaves), opts.threads);
+    fold[1].worlds = 1;
+    total = SweepTotals::merge(std::move(fold));
   }
-  totals.engine_failures = engine_failures.load();
-  totals.wrong_outputs = wrong_outputs.load();
-  return totals;
-}
-
-}  // namespace
-
-FaultSweepTotals sweep_fault_tasks(const Graph& g, const Protocol& p,
-                                   const FaultSpec& faults,
-                                   std::span<const FaultTask> tasks,
-                                   const FaultClassifier& classify,
-                                   const ExhaustiveOptions& opts) {
-  std::map<std::uint64_t, std::vector<PrefixTask>> by_world;
-  for (const FaultTask& t : tasks) {
-    by_world[t.world].push_back(t.prefix);
-  }
-  return sweep_worlds(g, p, faults, by_world, /*partition_per_world=*/false,
-                      classify, opts);
-}
-
-FaultSweepTotals sweep_faulty_executions(const Graph& g, const Protocol& p,
-                                         const FaultSpec& faults,
-                                         const FaultClassifier& classify,
-                                         const ExhaustiveOptions& opts) {
-  WB_CHECK_MSG(faults.kind != FaultKind::kAdaptive,
-               "adaptive faults sweep statistically — use "
-               "run_statistical_verdict");
-  std::map<std::uint64_t, std::vector<PrefixTask>> worlds;
-  const std::uint64_t count = exhaustive_world_count(g, faults);
-  for (std::uint64_t w = 0; w < count; ++w) {
-    worlds.emplace(w, std::vector<PrefixTask>{});
-  }
-  return sweep_worlds(g, p, faults, worlds, /*partition_per_world=*/true,
-                      classify, opts);
+  return total;
 }
 
 namespace {
@@ -510,10 +517,10 @@ std::vector<NodeId> sample_crash_set(Rng& rng, std::size_t n,
 
 }  // namespace
 
-StatisticalTotals run_statistical_verdict(const Graph& g, const Protocol& p,
-                                          const FaultSpec& faults,
-                                          const FaultClassifier& classify,
-                                          const StatisticalOptions& opts) {
+SweepTotals run_statistical_verdict(const Graph& g, const Protocol& p,
+                                    const FaultSpec& faults,
+                                    const FaultClassifier& classify,
+                                    const StatisticalOptions& opts) {
   WB_CHECK_MSG(opts.stride >= 1 && opts.offset < opts.stride,
                "statistical stride/offset out of range");
   const std::size_t n = g.node_count();
@@ -567,15 +574,9 @@ StatisticalTotals run_statistical_verdict(const Graph& g, const Protocol& p,
   bopts.threads = opts.threads;
   bopts.seed = opts.seed;
   const std::vector<ExecutionResult> results = run_batch(trials, bopts);
-  StatisticalTotals totals;
+  SweepTotals totals;
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const FaultVerdict v = classify(results[i], crash_sets[i]);
-    totals.verdict.record(v);
-    if (v == FaultVerdict::kWrongOutput) {
-      ++totals.wrong_outputs;
-    } else if (v == FaultVerdict::kDeadlockOrFault) {
-      ++totals.engine_failures;
-    }
+    totals.record(classify(results[i], crash_sets[i]));
   }
   return totals;
 }

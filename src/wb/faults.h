@@ -342,7 +342,6 @@ class VerdictAccumulator {
     WB_CHECK(failures_ <= trials_);
   }
 
-  void record(FaultVerdict v) { record_failure(v != FaultVerdict::kCorrect); }
   void record_failure(bool failed) {
     ++trials_;
     failures_ += failed ? 1 : 0;
@@ -372,60 +371,92 @@ class VerdictAccumulator {
 [[nodiscard]] std::string verdict_summary(const VerdictAccumulator& v);
 
 // ---------------------------------------------------------------------------
-// Exhaustive fault sweeps.
+// Sweeps: one totals type, one task sweep.
 // ---------------------------------------------------------------------------
 
-/// One unit of a sharded fault sweep: a fault world (crash_world index for
-/// kCrash; always 0 for kCorrupt) plus a schedule-tree prefix inside that
-/// world's adapted schedule tree. The process-level analogue of PrefixTask.
+/// Totals of any sweep — in-process, one shard, a merged shard set, or a
+/// statistical sample. record() is the one place a FaultVerdict becomes
+/// counts: kDeadlockOrFault tallies into engine_failures, kWrongOutput into
+/// wrong_outputs, and both into the verdict's failures. `distinct`
+/// accumulates every visited execution's final-board hash (exhaustive
+/// sweeps); statistical sweeps leave it null, since a sampled board
+/// population is not a deterministic set. One cache line each: a sweep's
+/// per-task leaves sit side by side and are written by different workers.
+struct alignas(64) SweepTotals {
+  std::uint64_t executions = 0;
+  std::uint64_t engine_failures = 0;
+  std::uint64_t wrong_outputs = 0;
+  std::uint64_t worlds = 0;  // fault worlds swept (exhaustive sweeps)
+  std::unique_ptr<DistinctAccumulator> distinct = nullptr;
+  VerdictAccumulator verdict{};
+
+  void record(FaultVerdict v) {
+    ++executions;
+    engine_failures += v == FaultVerdict::kDeadlockOrFault ? 1 : 0;
+    wrong_outputs += v == FaultVerdict::kWrongOutput ? 1 : 0;
+    verdict.record_failure(v != FaultVerdict::kCorrect);
+  }
+
+  /// Fold `parts` into one total. Counts add with overflow checks (a sum
+  /// past 2^64 - 1 throws wb::DataError naming it — shard results are
+  /// untrusted input); the non-null distinct accumulators fold through
+  /// merge_accumulators' tree on up to `threads` pool workers. The result
+  /// depends only on the multiset of parts, never on their order.
+  [[nodiscard]] static SweepTotals merge(std::vector<SweepTotals> parts,
+                                         std::size_t threads = 1);
+};
+
+/// One unit of an exhaustive sweep: a fault world (crash_world index for
+/// kCrash; always 0 for kNone and kCorrupt) plus a schedule-tree prefix
+/// inside that world's adapted schedule tree. A fault-free sweep is a list
+/// of world-0 tasks.
 struct FaultTask {
   std::uint64_t world = 0;
   PrefixTask prefix;
   friend bool operator==(const FaultTask&, const FaultTask&) = default;
 };
 
-/// The (world, prefix) partition of an exhaustive fault sweep: every world's
+/// The (world, prefix) partition a sharded sweep plans: every world's
 /// schedule tree split at the usual granularity (>= 1 prefix per world,
 /// ~target_tasks total). Depends only on (graph, protocol, faults,
 /// target_tasks) — never on scheduling — and its subtrees tile the full
-/// faulty execution set exactly once, so shards merge bit-identically.
+/// execution set exactly once, so shards merge bit-identically.
 /// kAdaptive has no exhaustive partition (statistical only; throws).
 [[nodiscard]] std::vector<FaultTask> partition_fault_tasks(
     const Graph& g, const Protocol& p, const FaultSpec& faults,
     const EngineOptions& eopts, std::size_t target_tasks);
 
-/// Totals of an exhaustive fault sweep. engine_failures counts
-/// kDeadlockOrFault verdicts and wrong_outputs counts kWrongOutput, matching
-/// the fault-free exhaustive report's two failure tallies; `distinct`
-/// accumulates every visited execution's final-board hash across all worlds.
-struct FaultSweepTotals {
-  std::uint64_t worlds = 0;
-  std::uint64_t executions = 0;
-  std::uint64_t engine_failures = 0;
-  std::uint64_t wrong_outputs = 0;
-  std::unique_ptr<DistinctAccumulator> distinct;
-};
-
-/// Sweep the executions inside the named (world, prefix) subtrees — one
-/// shard of an exhaustive fault sweep. opts.max_executions bounds the whole
-/// call (BudgetExceededError, deterministically at any thread count);
-/// opts.threads fans each world's prefix list over the pool. Totals are
-/// bit-identical at any thread count for the same task list, and merging
-/// shard totals over a partition equals the unsharded sweep.
-[[nodiscard]] FaultSweepTotals sweep_fault_tasks(
+/// The partition an in-process `threads`-worker sweep uses: each world's
+/// tree split by partition_for_threads under that world's adapted protocol
+/// (threads == 1: one whole-tree task per world, the serial DFS order).
+[[nodiscard]] std::vector<FaultTask> partition_fault_tasks_for_threads(
     const Graph& g, const Protocol& p, const FaultSpec& faults,
-    std::span<const FaultTask> tasks, const FaultClassifier& classify,
-    const ExhaustiveOptions& opts = {});
+    const EngineOptions& eopts, std::size_t threads);
 
-/// Sweep every execution of every fault world in-process: the fault-model
-/// analogue of for_each_execution + count_distinct_final_boards. Worlds are
-/// processed in canonical order; within a world the schedule tree fans out
-/// over opts.threads workers exactly like a fault-free sweep. For a
-/// fault-free spec (crash:0, corrupt:0) the visited execution set, counts,
-/// and distinct accumulation are bit-identical to the unadapted explorer.
-[[nodiscard]] FaultSweepTotals sweep_faulty_executions(
-    const Graph& g, const Protocol& p, const FaultSpec& faults,
-    const FaultClassifier& classify, const ExhaustiveOptions& opts = {});
+/// Called for each execution judged kWrongOutput or kDeadlockOrFault;
+/// returning false stops the sweep (as a visitor's false does in
+/// for_each_execution_under). Concurrent under opts.threads != 1.
+using FailureVisitor =
+    std::function<bool(const ExecutionResult&, FaultVerdict)>;
+
+/// The one exhaustive sweep: classify every execution under the named
+/// (world, prefix) subtrees and tally it into per-task SweepTotals, which
+/// fold through SweepTotals::merge as soon as their world finishes (so
+/// peak memory stays one world's leaves plus the running total). Worlds
+/// run in ascending order; opts.threads fans each world's prefixes over the
+/// pool; opts.max_executions bounds the whole call (BudgetExceededError,
+/// deterministically at any thread count). For a full sweep the totals are
+/// bit-identical at any thread count and any task split, and the totals of
+/// disjoint task lists merge to the totals of their union. `on_failure`
+/// (optional) sees each failing execution and may stop the sweep early —
+/// then the counts cover exactly the executions visited. kAdaptive has no
+/// exhaustive worlds (throws; use run_statistical_verdict).
+[[nodiscard]] SweepTotals sweep(const Graph& g, const Protocol& p,
+                                const FaultSpec& faults,
+                                std::span<const FaultTask> tasks,
+                                const FaultClassifier& classify,
+                                const ExhaustiveOptions& opts = {},
+                                const FailureVisitor& on_failure = nullptr);
 
 // ---------------------------------------------------------------------------
 // Statistical fault sweeps.
@@ -447,14 +478,6 @@ struct StatisticalOptions {
   EngineOptions engine;
 };
 
-/// A statistical sweep's totals: the mergeable verdict plus the same
-/// failure-mode breakdown the exhaustive sweep reports.
-struct StatisticalTotals {
-  VerdictAccumulator verdict;
-  std::uint64_t engine_failures = 0;
-  std::uint64_t wrong_outputs = 0;
-};
-
 /// Sample executions of `p` on `g` under the failure model and classify each
 /// one. Per trial, a seeded policy draws the fault realization and then a
 /// random schedule:
@@ -465,8 +488,8 @@ struct StatisticalTotals {
 ///   kAdaptive with probability 1/2 crash one uniform node, random schedule
 ///             (the seeded adaptive policy).
 /// Deterministic given (faults, opts): thread-count independent and
-/// stride-split mergeable.
-[[nodiscard]] StatisticalTotals run_statistical_verdict(
+/// stride-split mergeable. The totals carry no distinct accumulator.
+[[nodiscard]] SweepTotals run_statistical_verdict(
     const Graph& g, const Protocol& p, const FaultSpec& faults,
     const FaultClassifier& classify, const StatisticalOptions& opts = {});
 

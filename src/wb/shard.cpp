@@ -1,6 +1,5 @@
 #include "src/wb/shard.h"
 
-#include <atomic>
 #include <charconv>
 #include <memory>
 #include <sstream>
@@ -162,24 +161,15 @@ void append_hash_line(std::string& out, const std::string& keyword,
   out.push_back('\n');
 }
 
-/// Version line: `<magic> v<version>`. Accepts min_version ..=
-/// kFormatVersion (min_version > 1 for formats that did not exist in v1)
-/// and returns the version read, so parsers can handle fields that arrived
-/// later.
-int require_version_line(LineParser& lp, const std::string& magic,
-                         int min_version) {
+/// Version line: `<magic> v<kFormatVersion>`; any other version is skew.
+void require_version_line(LineParser& lp, const std::string& magic) {
   const std::string version = lp.expect(magic);
-  int value = 0;
-  bool ok = version.size() == 2 && version[0] == 'v' &&
-            version[1] >= '0' && version[1] <= '9';
-  if (ok) {
-    value = version[1] - '0';
-    ok = value >= min_version && value <= kFormatVersion;
-  }
-  WB_REQUIRE_MSG(ok, lp.what() << ": unsupported format version '" << version
-                               << "' (this build reads v" << min_version
-                               << "..v" << kFormatVersion << ")");
-  return value;
+  std::string expected = "v";
+  expected += std::to_string(kFormatVersion);
+  WB_REQUIRE_MSG(version == expected,
+                 lp.what() << ": unsupported format version '" << version
+                           << "' (this build reads v" << kFormatVersion
+                           << ")");
 }
 
 DistinctConfig parse_distinct_field(const LineParser& lp,
@@ -270,6 +260,36 @@ Hash128 fingerprint_plan(const std::string& protocol_spec, const Graph& g,
     }
   }
   return h.digest();
+}
+
+/// The `<depth> <node>...` tail of a `prefix`/`fprefix` line, from
+/// fields[first] on, with every node id in 1..n.
+PrefixTask parse_prefix_tail(const LineParser& lp,
+                             const std::vector<std::string>& fields,
+                             std::size_t first, std::uint64_t n) {
+  WB_REQUIRE_MSG(fields.size() > first,
+                 "shard spec line " << lp.line_no()
+                                    << ": expected a prefix depth");
+  PrefixTask task;
+  task.depth = static_cast<std::size_t>(
+      parse_u64_field(lp, fields[first], "prefix depth"));
+  WB_REQUIRE_MSG(task.depth <= task.decision.size(),
+                 "shard spec line " << lp.line_no() << ": prefix depth "
+                                    << task.depth << " exceeds the maximum "
+                                    << task.decision.size());
+  WB_REQUIRE_MSG(fields.size() == first + 1 + task.depth,
+                 "shard spec line "
+                     << lp.line_no() << ": prefix of depth " << task.depth
+                     << " must carry exactly " << task.depth << " node ids");
+  for (std::size_t d = 0; d < task.depth; ++d) {
+    const std::uint64_t v =
+        parse_u64_field(lp, fields[first + 1 + d], "prefix node");
+    WB_REQUIRE_MSG(v >= 1 && v <= n, "shard spec line "
+                                         << lp.line_no() << ": prefix node "
+                                         << v << " out of range 1.." << n);
+    task.decision[d] = static_cast<NodeId>(v);
+  }
+  return task;
 }
 
 /// Cap an untrusted entry count before vector::reserve: every serialized
@@ -462,7 +482,7 @@ std::string serialize(const ShardSpec& spec) {
 
 ShardSpec parse_shard_spec(const std::string& text) {
   LineParser lp(text, "shard spec");
-  const int version = require_version_line(lp, "wbshard-spec", 1);
+  require_version_line(lp, "wbshard-spec");
   ShardSpec spec;
 
   spec.protocol_spec = lp.expect("protocol");
@@ -494,11 +514,9 @@ ShardSpec parse_shard_spec(const std::string& text) {
   spec.max_executions =
       parse_u64_field(lp, lp.expect("max-executions"), "max-executions");
 
-  // Optional: v2 documents without a `faults` line are fault-free.
-  if (version >= 2) {
-    if (const auto payload = lp.try_expect("faults")) {
-      spec.faults = parse_fault_field(lp, *payload);
-    }
+  // Optional: documents without a `faults` line are fault-free.
+  if (const auto payload = lp.try_expect("faults")) {
+    spec.faults = parse_fault_field(lp, *payload);
   }
 
   const auto engine_fields = split_fields(lp.expect("engine"));
@@ -515,10 +533,7 @@ ShardSpec parse_shard_spec(const std::string& text) {
                                  << ": record-trace must be 0 or 1");
   spec.engine.record_trace = trace == 1;
 
-  // v1 predates the pluggable distinct accumulator; those sweeps were exact.
-  spec.distinct = version >= 2
-                      ? parse_distinct_field(lp, lp.expect("distinct"))
-                      : DistinctConfig::Exact();
+  spec.distinct = parse_distinct_field(lp, lp.expect("distinct"));
 
   spec.plan = parse_hash_line(lp, "plan", "plan hash");
 
@@ -539,29 +554,8 @@ ShardSpec parse_shard_spec(const std::string& text) {
       parse_u64_field(lp, lp.expect("prefixes"), "prefix count");
   spec.prefixes.reserve(clamped_reserve(prefix_count, text));
   for (std::uint64_t i = 0; i < prefix_count; ++i) {
-    const auto pf = split_fields(lp.expect("prefix"));
-    WB_REQUIRE_MSG(!pf.empty(),
-                   "shard spec line " << lp.line_no()
-                                      << ": expected 'prefix <depth> ...'");
-    PrefixTask task;
-    task.depth = static_cast<std::size_t>(
-        parse_u64_field(lp, pf[0], "prefix depth"));
-    WB_REQUIRE_MSG(task.depth <= task.decision.size(),
-                   "shard spec line " << lp.line_no() << ": prefix depth "
-                                      << task.depth << " exceeds the maximum "
-                                      << task.decision.size());
-    WB_REQUIRE_MSG(pf.size() == 1 + task.depth,
-                   "shard spec line "
-                       << lp.line_no() << ": prefix of depth " << task.depth
-                       << " must carry exactly " << task.depth << " node ids");
-    for (std::size_t d = 0; d < task.depth; ++d) {
-      const std::uint64_t v = parse_u64_field(lp, pf[1 + d], "prefix node");
-      WB_REQUIRE_MSG(v >= 1 && v <= n, "shard spec line "
-                                           << lp.line_no() << ": prefix node "
-                                           << v << " out of range 1.." << n);
-      task.decision[d] = static_cast<NodeId>(v);
-    }
-    spec.prefixes.push_back(task);
+    spec.prefixes.push_back(
+        parse_prefix_tail(lp, split_fields(lp.expect("prefix")), 0, n));
   }
 
   // Crash/corruption specs carry their (world × prefix) partition; the
@@ -584,37 +578,13 @@ ShardSpec parse_shard_spec(const std::string& text) {
     spec.fault_tasks.reserve(clamped_reserve(fcount, text));
     for (std::uint64_t i = 0; i < fcount; ++i) {
       const auto pf = split_fields(lp.expect("fprefix"));
-      WB_REQUIRE_MSG(pf.size() >= 2,
-                     "shard spec line "
-                         << lp.line_no()
-                         << ": expected 'fprefix <world> <depth> ...'");
       FaultTask task;
       task.world = parse_u64_field(lp, pf[0], "fault world");
       WB_REQUIRE_MSG(task.world < worlds,
                      "shard spec line " << lp.line_no() << ": fault world "
                                         << task.world << " out of range 0.."
                                         << worlds - 1);
-      task.prefix.depth = static_cast<std::size_t>(
-          parse_u64_field(lp, pf[1], "prefix depth"));
-      WB_REQUIRE_MSG(task.prefix.depth <= task.prefix.decision.size(),
-                     "shard spec line "
-                         << lp.line_no() << ": prefix depth "
-                         << task.prefix.depth << " exceeds the maximum "
-                         << task.prefix.decision.size());
-      WB_REQUIRE_MSG(pf.size() == 2 + task.prefix.depth,
-                     "shard spec line " << lp.line_no()
-                                        << ": fprefix of depth "
-                                        << task.prefix.depth
-                                        << " must carry exactly "
-                                        << task.prefix.depth << " node ids");
-      for (std::size_t d = 0; d < task.prefix.depth; ++d) {
-        const std::uint64_t v =
-            parse_u64_field(lp, pf[2 + d], "prefix node");
-        WB_REQUIRE_MSG(v >= 1 && v <= n,
-                       "shard spec line " << lp.line_no() << ": prefix node "
-                                          << v << " out of range 1.." << n);
-        task.prefix.decision[d] = static_cast<NodeId>(v);
-      }
+      task.prefix = parse_prefix_tail(lp, pf, 1, n);
       spec.fault_tasks.push_back(task);
     }
   }
@@ -659,7 +629,7 @@ std::string serialize(const ShardResult& result) {
 
 ShardResult parse_shard_result(const std::string& text) {
   LineParser lp(text, "shard result");
-  const int version = require_version_line(lp, "wbshard-result", 1);
+  require_version_line(lp, "wbshard-result");
   ShardResult result;
 
   result.plan = parse_hash_line(lp, "plan", "plan hash");
@@ -681,11 +651,9 @@ ShardResult parse_shard_result(const std::string& text) {
   result.max_executions =
       parse_u64_field(lp, lp.expect("max-executions"), "max-executions");
 
-  // Optional: v2 documents without a `faults` line are fault-free.
-  if (version >= 2) {
-    if (const auto payload = lp.try_expect("faults")) {
-      result.faults = parse_fault_field(lp, *payload);
-    }
+  // Optional: documents without a `faults` line are fault-free.
+  if (const auto payload = lp.try_expect("faults")) {
+    result.faults = parse_fault_field(lp, *payload);
   }
 
   result.executions =
@@ -694,6 +662,14 @@ ShardResult parse_shard_result(const std::string& text) {
       parse_u64_field(lp, lp.expect("engine-failures"), "engine-failures");
   result.wrong_outputs =
       parse_u64_field(lp, lp.expect("wrong-outputs"), "wrong-outputs");
+  WB_REQUIRE_MSG(result.engine_failures <= result.executions &&
+                     result.wrong_outputs <=
+                         result.executions - result.engine_failures,
+                 "shard result line "
+                     << lp.line_no() << ": " << result.engine_failures
+                     << " engine failures + " << result.wrong_outputs
+                     << " wrong outputs exceed " << result.executions
+                     << " executions");
   const std::uint64_t exceeded =
       parse_u64_field(lp, lp.expect("budget-exceeded"), "budget-exceeded");
   WB_REQUIRE_MSG(exceeded <= 1, "shard result line "
@@ -719,14 +695,15 @@ ShardResult parse_shard_result(const std::string& text) {
                                         << result.verdict_trials << " trials");
   }
 
-  // v1 predates the pluggable distinct accumulator; those results are exact.
-  result.distinct = version >= 2
-                        ? parse_distinct_field(lp, lp.expect("distinct-kind"))
-                        : DistinctConfig::Exact();
+  result.distinct = parse_distinct_field(lp, lp.expect("distinct-kind"));
 
   if (result.distinct.kind == DistinctKind::kExact) {
     const std::uint64_t distinct =
         parse_u64_field(lp, lp.expect("distinct"), "distinct count");
+    WB_REQUIRE_MSG(distinct <= result.executions,
+                   "shard result line " << lp.line_no() << ": " << distinct
+                                        << " distinct boards exceed "
+                                        << result.executions << " executions");
     result.board_hashes.reserve(clamped_reserve(distinct, text));
     for (std::uint64_t i = 0; i < distinct; ++i) {
       const Hash128 h = parse_hash_line(lp, "hash", "board hash");
@@ -762,7 +739,7 @@ std::string serialize(const ShardManifest& manifest) {
 
 ShardManifest parse_shard_manifest(const std::string& text) {
   LineParser lp(text, "shard manifest");
-  (void)require_version_line(lp, "wbshard-manifest", 2);
+  require_version_line(lp, "wbshard-manifest");
   ShardManifest manifest;
   manifest.plan = parse_hash_line(lp, "plan", "plan hash");
   manifest.shard_count = static_cast<std::uint32_t>(
@@ -786,21 +763,6 @@ ShardManifest parse_shard_manifest(const std::string& text) {
 }
 
 ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
-                      const std::function<bool(const ExecutionResult&)>& accept,
-                      std::size_t threads) {
-  // The canonical classifier: engine failures are terminal, accept (when
-  // given) judges successful executions. Field-for-field the pre-fault
-  // behavior of this overload.
-  const FaultClassifier classify = [&accept](const ExecutionResult& r,
-                                             std::span<const NodeId>) {
-    if (!r.ok()) return FaultVerdict::kDeadlockOrFault;
-    if (accept != nullptr && !accept(r)) return FaultVerdict::kWrongOutput;
-    return FaultVerdict::kCorrect;
-  };
-  return run_shard(spec, p, classify, threads);
-}
-
-ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
                       const FaultClassifier& classify, std::size_t threads) {
   WB_CHECK_MSG(classify != nullptr, "run_shard needs a fault classifier");
   ShardResult out;
@@ -811,92 +773,34 @@ ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
   out.distinct = spec.distinct;
   out.faults = spec.faults;
 
-  const auto cleared_payload = [&] {
-    if (spec.distinct.kind == DistinctKind::kHll) {
-      out.hll = HyperLogLog(spec.distinct.hll_precision);
-    }
-  };
-
-  if (spec.faults.kind == FaultKind::kAdaptive) {
-    // Statistical mode: this shard runs its stride of the trial index
-    // space. No distinct-board payload — the sampled board population is
-    // not a deterministic set.
-    StatisticalOptions sopts;
-    sopts.trials = spec.faults.trials;
-    sopts.seed = spec.faults.seed;
-    sopts.stride = spec.shard_count;
-    sopts.offset = spec.shard_index;
-    sopts.threads = threads;
-    sopts.engine = spec.engine;
-    const StatisticalTotals totals =
-        run_statistical_verdict(spec.graph, p, spec.faults, classify, sopts);
-    out.executions = totals.verdict.trials();
-    out.engine_failures = totals.engine_failures;
-    out.wrong_outputs = totals.wrong_outputs;
-    out.verdict_trials = totals.verdict.trials();
-    out.verdict_failures = totals.verdict.failures();
-    cleared_payload();
-    return out;
-  }
-
-  ExhaustiveOptions opts;
-  opts.max_executions = spec.max_executions;
-  opts.threads = threads;
-  opts.distinct = spec.distinct;
-  opts.engine = spec.engine;
-
-  if (spec.faults.kind != FaultKind::kNone) {
-    FaultSweepTotals totals;
-    try {
-      totals = sweep_fault_tasks(spec.graph, p, spec.faults, spec.fault_tasks,
-                                 classify, opts);
-    } catch (const BudgetExceededError&) {
-      out.budget_exceeded = true;
-      out.executions = spec.max_executions;
-      cleared_payload();
-      return out;
-    }
-    out.executions = totals.executions;
-    out.engine_failures = totals.engine_failures;
-    out.wrong_outputs = totals.wrong_outputs;
-    if (totals.distinct == nullptr) {
-      cleared_payload();
-    } else if (spec.distinct.kind == DistinctKind::kExact) {
-      out.board_hashes =
-          static_cast<ExactDistinctAccumulator&>(*totals.distinct)
-              .take_sorted();
-    } else {
-      out.hll = static_cast<HllDistinctAccumulator&>(*totals.distinct)
-                    .take_sketch();
-    }
-    return out;
-  }
-
-  std::atomic<std::uint64_t> engine_failures{0};
-  std::atomic<std::uint64_t> wrong_outputs{0};
-  std::vector<std::unique_ptr<DistinctAccumulator>> accumulators;
-  accumulators.reserve(spec.prefixes.size());
-  for (std::size_t t = 0; t < spec.prefixes.size(); ++t) {
-    accumulators.push_back(make_distinct_accumulator(spec.distinct));
-  }
+  SweepTotals totals;
   try {
-    out.executions = for_each_execution_under(
-        spec.graph, p, spec.prefixes,
-        [&](const ExecutionResult& r, std::size_t task) {
-          accumulators[task]->insert(r.board.content_hash());
-          switch (classify(r, {})) {
-            case FaultVerdict::kCorrect:
-              break;
-            case FaultVerdict::kWrongOutput:
-              wrong_outputs.fetch_add(1, std::memory_order_relaxed);
-              break;
-            case FaultVerdict::kDeadlockOrFault:
-              engine_failures.fetch_add(1, std::memory_order_relaxed);
-              break;
-          }
-          return true;
-        },
-        opts);
+    if (spec.faults.kind == FaultKind::kAdaptive) {
+      // Statistical mode: this shard runs its stride of the trial index
+      // space.
+      StatisticalOptions sopts;
+      sopts.trials = spec.faults.trials;
+      sopts.seed = spec.faults.seed;
+      sopts.stride = spec.shard_count;
+      sopts.offset = spec.shard_index;
+      sopts.threads = threads;
+      sopts.engine = spec.engine;
+      totals =
+          run_statistical_verdict(spec.graph, p, spec.faults, classify, sopts);
+      out.verdict_trials = totals.verdict.trials();
+      out.verdict_failures = totals.verdict.failures();
+    } else {
+      ExhaustiveOptions opts;
+      opts.max_executions = spec.max_executions;
+      opts.threads = threads;
+      opts.distinct = spec.distinct;
+      opts.engine = spec.engine;
+      std::vector<FaultTask> tasks = spec.fault_tasks;
+      if (spec.faults.kind == FaultKind::kNone) {
+        for (const PrefixTask& t : spec.prefixes) tasks.push_back({0, t});
+      }
+      totals = sweep(spec.graph, p, spec.faults, tasks, classify, opts);
+    }
   } catch (const BudgetExceededError&) {
     // Exactly max_executions visits completed before the guard fired; which
     // ones is scheduling-dependent, so every schedule-dependent field is
@@ -904,22 +808,23 @@ ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
     // flag back into the oracle's BudgetExceededError.
     out.budget_exceeded = true;
     out.executions = spec.max_executions;
-    cleared_payload();
-    return out;
   }
-  out.engine_failures = engine_failures.load(std::memory_order_relaxed);
-  out.wrong_outputs = wrong_outputs.load(std::memory_order_relaxed);
-  if (accumulators.empty()) {
-    cleared_payload();
-    return out;
+  if (!out.budget_exceeded) {
+    out.executions = totals.executions;
+    out.engine_failures = totals.engine_failures;
+    out.wrong_outputs = totals.wrong_outputs;
   }
-  std::unique_ptr<DistinctAccumulator> total =
-      merge_accumulators(std::move(accumulators), opts.threads);
-  if (spec.distinct.kind == DistinctKind::kExact) {
+  if (totals.distinct == nullptr) {
+    // Cleared or statistical: an empty payload of the plan's kind.
+    if (spec.distinct.kind == DistinctKind::kHll) {
+      out.hll = HyperLogLog(spec.distinct.hll_precision);
+    }
+  } else if (spec.distinct.kind == DistinctKind::kExact) {
     out.board_hashes =
-        static_cast<ExactDistinctAccumulator&>(*total).take_sorted();
+        static_cast<ExactDistinctAccumulator&>(*totals.distinct).take_sorted();
   } else {
-    out.hll = static_cast<HllDistinctAccumulator&>(*total).take_sketch();
+    out.hll =
+        static_cast<HllDistinctAccumulator&>(*totals.distinct).take_sketch();
   }
   return out;
 }
@@ -927,16 +832,11 @@ ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
 MergedResult merge_shard_results(std::span<const ShardResult> results) {
   WB_REQUIRE_MSG(!results.empty(), "no shard results to merge");
   const ShardResult& first = results.front();
-  MergedResult merged;
-  merged.shard_count = first.shard_count;
-  merged.distinct = first.distinct;
-  merged.faults = first.faults;
   std::vector<bool> seen(first.shard_count, false);
-  std::vector<std::vector<Hash128>> runs;
-  runs.reserve(results.size());
-  std::optional<HyperLogLog> sketch;
+  std::vector<SweepTotals> parts(results.size());
   bool exceeded = false;
-  for (const ShardResult& r : results) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const ShardResult& r = results[i];
     WB_REQUIRE_MSG(r.distinct == first.distinct,
                    "shard " << r.shard_index
                             << " counts distinct boards with "
@@ -962,42 +862,44 @@ MergedResult merge_shard_results(std::span<const ShardResult> results) {
     WB_REQUIRE_MSG(!seen[r.shard_index],
                    "duplicate result for shard " << r.shard_index);
     seen[r.shard_index] = true;
-    merged.executions += r.executions;
-    merged.engine_failures += r.engine_failures;
-    merged.wrong_outputs += r.wrong_outputs;
-    merged.verdict_trials += r.verdict_trials;
-    merged.verdict_failures += r.verdict_failures;
     exceeded = exceeded || r.budget_exceeded;
+    SweepTotals& part = parts[i];
+    part.executions = r.executions;
+    part.engine_failures = r.engine_failures;
+    part.wrong_outputs = r.wrong_outputs;
+    part.verdict = VerdictAccumulator(r.verdict_trials, r.verdict_failures);
     if (first.distinct.kind == DistinctKind::kExact) {
-      runs.push_back(r.board_hashes);
+      part.distinct = std::make_unique<ExactDistinctAccumulator>(
+          ExactDistinctAccumulator::from_sorted(r.board_hashes));
     } else {
       WB_REQUIRE_MSG(r.hll.has_value(),
                      "shard " << r.shard_index
                               << " declares an hll distinct payload but "
                                  "carries no register block");
-      if (sketch.has_value()) {
-        sketch->merge(*r.hll);
-      } else {
-        sketch = *r.hll;
-      }
+      part.distinct = std::make_unique<HllDistinctAccumulator>(*r.hll);
     }
   }
   for (std::uint32_t k = 0; k < first.shard_count; ++k) {
     WB_REQUIRE_MSG(seen[k], "missing result for shard " << k << " of "
                                                         << first.shard_count);
   }
+  const SweepTotals totals = SweepTotals::merge(std::move(parts));
   // Adaptive sweeps count trials, not exhaustive visits — their trial
   // budget is the fault spec's, not max_executions.
   if (first.faults.kind != FaultKind::kAdaptive &&
-      (exceeded || merged.executions > first.max_executions)) {
+      (exceeded || totals.executions > first.max_executions)) {
     throw BudgetExceededError(first.max_executions);
   }
-  if (first.distinct.kind == DistinctKind::kExact) {
-    merged.distinct_boards =
-        static_cast<std::uint64_t>(union_sorted_runs(std::move(runs)).size());
-  } else {
-    merged.distinct_boards = sketch.has_value() ? sketch->estimate() : 0;
-  }
+  MergedResult merged;
+  merged.shard_count = first.shard_count;
+  merged.executions = totals.executions;
+  merged.engine_failures = totals.engine_failures;
+  merged.wrong_outputs = totals.wrong_outputs;
+  merged.distinct_boards = totals.distinct->estimate();
+  merged.distinct = first.distinct;
+  merged.faults = first.faults;
+  merged.verdict_trials = totals.verdict.trials();
+  merged.verdict_failures = totals.verdict.failures();
   return merged;
 }
 

@@ -18,12 +18,17 @@
 //   merge: K ShardResult files → MergedResult == the serial sweep's totals
 //
 // File formats are versioned, self-describing text ("wbshard-spec v2" /
-// "wbshard-result v2" / "wbshard-manifest v2"); parsers also read the v1
-// spec/result formats (which had no distinct-accumulator field — they parse
-// as exact). Parsers reject malformed, truncated, or version-skewed input
-// with a wb::DataError diagnostic, never undefined behavior, and
-// serialize→parse→serialize is byte-identical (tests/wb/shard_test.cpp pins
-// golden files under tests/wb/data/).
+// "wbshard-result v2" / "wbshard-manifest v2"). Parsers reject malformed,
+// truncated, or version-skewed input (v1 included) with a wb::DataError
+// diagnostic, never undefined behavior, and serialize→parse→serialize is
+// byte-identical (tests/wb/shard_test.cpp pins golden files under
+// tests/wb/data/).
+//
+// Running and merging go through the one sweep (src/wb/faults.h): a shard
+// is wb::sweep over its spec's tasks (fault-free prefixes are world-0
+// tasks) or a stride of run_statistical_verdict, and the merge folds one
+// SweepTotals per result with SweepTotals::merge — so shard tallies add
+// with the same overflow checks as every other sweep.
 //
 // Determinism contract (the reason merge order and shard→host assignment
 // never matter):
@@ -48,7 +53,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -63,10 +67,10 @@
 
 namespace wb::shard {
 
-/// Bumped on any change to the text formats below. v2 added the distinct
-/// accumulator field (spec + result), the hll register block, and the
-/// manifest format; v1 spec/result files still parse (as exact). The
-/// failure-model fields (`faults`, `fprefix`, `verdict`) are *optional* v2
+/// Bumped on any change to the text formats below; parsers read exactly
+/// this version. v2 added the distinct accumulator field (spec + result),
+/// the hll register block, and the manifest format. The failure-model
+/// fields (`faults`, `fprefix`, `verdict`) are *optional* v2
 /// lines: fault-free documents serialize without them byte-for-byte as
 /// before, and v2 documents without a fault field parse as fault-free.
 inline constexpr int kFormatVersion = 2;
@@ -220,36 +224,25 @@ struct ShardManifest {
 [[nodiscard]] std::string serialize(const ShardManifest& manifest);
 
 /// Parsers throw wb::DataError with a line-numbered diagnostic on malformed,
-/// truncated, or version-skewed input. Spec and result parsers read v1 and
-/// v2 documents (v1 has no distinct field and parses as exact); manifests
-/// exist only since v2.
+/// truncated, or version-skewed input. A result whose engine-failures plus
+/// wrong-outputs, or whose exact hash count, exceeds its executions is
+/// rejected as inconsistent.
 [[nodiscard]] ShardSpec parse_shard_spec(const std::string& text);
 [[nodiscard]] ShardResult parse_shard_result(const std::string& text);
 [[nodiscard]] ShardManifest parse_shard_manifest(const std::string& text);
 
-/// Sweep one shard: every execution under spec.prefixes, run with
+/// Sweep one shard: the executions under spec.prefixes (fault-free) or
+/// spec.fault_tasks (crash/corruption) through wb::sweep, or — adaptive
+/// specs — this shard's stride of the trial index space through
+/// run_statistical_verdict, with the verdict tally recorded. Runs with
 /// spec.engine, fanned out over the shared ThreadPool (`threads` as in
 /// ExhaustiveOptions: 0 = one worker per hardware thread, 1 = serial). `p`
 /// must be the protocol spec.protocol_spec denotes (the CLI layer
-/// constructs it; library callers pass their own).
-/// `accept` — may be empty — classifies each *successful* execution's
-/// output; failures of the engine itself are tallied separately. A
-/// worker-local budget overrun is caught and recorded as budget_exceeded
-/// (see ShardResult); visitor exceptions propagate.
-[[nodiscard]] ShardResult run_shard(
-    const ShardSpec& spec, const Protocol& p,
-    const std::function<bool(const ExecutionResult&)>& accept,
-    std::size_t threads = 0);
-
-/// Failure-model-aware shard sweep. Dispatches on spec.faults.kind:
-/// fault-free specs sweep spec.prefixes exactly as the accept overload
-/// (which delegates here with the canonical ok/accept classifier);
-/// crash/corruption specs sweep spec.fault_tasks via sweep_fault_tasks;
-/// adaptive specs run this shard's stride of the trial index space through
-/// run_statistical_verdict and record the verdict tally. The classifier is
-/// consulted for every execution; kWrongOutput tallies into wrong_outputs
-/// and kDeadlockOrFault into engine_failures, so fault-free results are
-/// field-for-field those of the accept overload.
+/// constructs it; library callers pass their own). `classify` judges every
+/// execution: kWrongOutput tallies into wrong_outputs, kDeadlockOrFault
+/// into engine_failures. A worker-local budget overrun is caught and
+/// recorded as budget_exceeded (see ShardResult); classifier exceptions
+/// propagate.
 [[nodiscard]] ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
                                     const FaultClassifier& classify,
                                     std::size_t threads);
@@ -260,7 +253,8 @@ struct ShardManifest {
 /// kind (an exact count and an hll estimate must never be combined) — and
 /// BudgetExceededError when the combined execution count exceeds the
 /// recorded budget — the same observable behavior as the serial oracle at
-/// any shard count and any assignment of shards to hosts.
+/// any shard count and any assignment of shards to hosts. A total past
+/// 2^64 - 1 (hand-edited counts) throws wb::DataError.
 [[nodiscard]] MergedResult merge_shard_results(
     std::span<const ShardResult> results);
 

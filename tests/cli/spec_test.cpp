@@ -58,10 +58,9 @@ TEST(SweepSpec, ParsesThreadsAndShardForms) {
   EXPECT_EQ(spec.threads, 2u);
   EXPECT_EQ(spec.shards, 4u);
 
-  // The legacy PR 4 order still parses.
-  spec = sweep_from_spec("exhaustive:shards=4:2");
-  EXPECT_EQ(spec.threads, 2u);
-  EXPECT_EQ(spec.shards, 4u);
+  // A thread count after another option is refused (no legacy order).
+  EXPECT_THROW((void)sweep_from_spec("exhaustive:shards=4:2"), DataError);
+  EXPECT_THROW((void)sweep_from_spec("exhaustive:budget=9:2"), DataError);
 
   EXPECT_THROW((void)sweep_from_spec("exhaustive:shards=0"), DataError);
   EXPECT_THROW((void)sweep_from_spec("exhaustive:shards=x"), DataError);
@@ -111,7 +110,7 @@ TEST(SweepSpec, ParsesTheTrailingDistinctOption) {
   EXPECT_EQ(spec.shards, 4u);
   EXPECT_EQ(spec.distinct, DistinctConfig::Exact());
 
-  spec = sweep_from_spec("exhaustive:shards=4:2:distinct=hll:12");
+  spec = sweep_from_spec("exhaustive:2:shards=4:distinct=hll:12");
   EXPECT_EQ(spec.shards, 4u);
   EXPECT_EQ(spec.threads, 2u);
   EXPECT_EQ(spec.distinct, DistinctConfig::Hll(12));
@@ -270,8 +269,8 @@ TEST(SweepSpec, FormatParseRoundTrip) {
                   .distinct = DistinctConfig::Hll(9)}}) {
     EXPECT_EQ(sweep_from_spec(format_sweep_spec(spec)), spec);
   }
-  // The legacy order normalizes to the canonical one.
-  EXPECT_EQ(format_sweep_spec(sweep_from_spec("exhaustive:shards=4:2")),
+  // The canonical order is the only order, and it round-trips as text.
+  EXPECT_EQ(format_sweep_spec(sweep_from_spec("exhaustive:2:shards=4")),
             "exhaustive:2:shards=4");
 }
 

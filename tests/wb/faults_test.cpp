@@ -47,7 +47,7 @@ std::string data_file(const std::string& name) {
   return buffer.str();
 }
 
-/// The run_shard accept-wrapper semantics: engine failure -> kDeadlockOrFault,
+/// The canonical accept-all classifier: engine failure -> kDeadlockOrFault,
 /// everything else correct. Fault-free sweeps under this classifier tally
 /// exactly like the pre-fault explorer.
 FaultVerdict accept_all(const ExecutionResult& r, std::span<const NodeId>) {
@@ -63,6 +63,17 @@ FaultVerdict crash_tolerant(const ExecutionResult& r,
     return FaultVerdict::kCorrect;
   }
   return FaultVerdict::kDeadlockOrFault;
+}
+
+/// Every execution of every fault world in-process: the thread-shaped plan
+/// through the one sweep, as the exhaustive runner does.
+SweepTotals sweep_all(const Graph& g, const Protocol& p,
+                      const FaultSpec& faults, const FaultClassifier& classify,
+                      const ExhaustiveOptions& opts) {
+  return sweep(g, p, faults,
+               partition_fault_tasks_for_threads(g, p, faults, opts.engine,
+                                                 opts.threads),
+               classify, opts);
 }
 
 /// Serial fault-free oracle, straight off the unadapted explorer.
@@ -179,8 +190,8 @@ TEST(FaultFreeOracle, SweepMatchesUnadaptedExplorerAcrossClassesAndThreads) {
       for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
         ExhaustiveOptions opts;
         opts.threads = threads;
-        const FaultSweepTotals totals =
-            sweep_faulty_executions(*g, *p, faults, accept_all, opts);
+        const SweepTotals totals =
+            sweep_all(*g, *p, faults, accept_all, opts);
         EXPECT_EQ(totals.worlds, 1u);
         EXPECT_EQ(totals.executions, oracle.executions)
             << p->name() << " " << fault_spec_to_string(faults) << " threads="
@@ -235,7 +246,7 @@ TEST(CrashSweep, EnumeratesEveryWorldAndCountsItsSchedules) {
   // crashed worlds runs the 3! tree of the survivors and deadlocks.
   const Graph g = path_graph(4);
   const testing::EchoIdProtocol p;
-  const FaultSweepTotals tolerant = sweep_faulty_executions(
+  const SweepTotals tolerant = sweep_all(
       g, p, FaultSpec::Crash(1), crash_tolerant, {});
   EXPECT_EQ(tolerant.worlds, 5u);
   EXPECT_EQ(tolerant.executions, 24u + 4 * 6u);
@@ -243,8 +254,8 @@ TEST(CrashSweep, EnumeratesEveryWorldAndCountsItsSchedules) {
 
   // Under the strict accept-all classifier every crashed-world execution is
   // a deadlock failure.
-  const FaultSweepTotals strict =
-      sweep_faulty_executions(g, p, FaultSpec::Crash(1), accept_all, {});
+  const SweepTotals strict =
+      sweep_all(g, p, FaultSpec::Crash(1), accept_all, {});
   EXPECT_EQ(strict.engine_failures, 4 * 6u);
 }
 
@@ -253,12 +264,12 @@ TEST(CrashSweep, TotalsAreThreadCountInvariant) {
   const testing::EchoIdProtocol p;
   ExhaustiveOptions serial;
   serial.threads = 1;
-  const FaultSweepTotals oracle = sweep_faulty_executions(
+  const SweepTotals oracle = sweep_all(
       g, p, FaultSpec::Crash(2), crash_tolerant, serial);
   for (const std::size_t threads : {2u, 4u, 8u}) {
     ExhaustiveOptions opts;
     opts.threads = threads;
-    const FaultSweepTotals totals = sweep_faulty_executions(
+    const SweepTotals totals = sweep_all(
         g, p, FaultSpec::Crash(2), crash_tolerant, opts);
     EXPECT_EQ(totals.worlds, oracle.worlds);
     EXPECT_EQ(totals.executions, oracle.executions);
@@ -272,8 +283,8 @@ TEST(CrashSweep, ShardedCrashSweepMergesBitIdentically) {
   const Graph g = path_graph(4);
   const testing::EchoIdProtocol p;
   const FaultSpec faults = FaultSpec::Crash(1);
-  const FaultSweepTotals serial =
-      sweep_faulty_executions(g, p, faults, accept_all, {});
+  const SweepTotals serial =
+      sweep_all(g, p, faults, accept_all, {});
   for (const std::size_t shards : {1u, 2u, 4u}) {
     shard::PlanOptions popts;
     popts.faults = faults;
@@ -302,7 +313,7 @@ TEST(CrashSweep, BudgetIsGlobalAcrossWorlds) {
   const testing::EchoIdProtocol p;
   ExhaustiveOptions opts;
   opts.max_executions = 30;  // world 0 alone has 24; total is 48
-  EXPECT_THROW((void)sweep_faulty_executions(g, p, FaultSpec::Crash(1),
+  EXPECT_THROW((void)sweep_all(g, p, FaultSpec::Crash(1),
                                              crash_tolerant, opts),
                BudgetExceededError);
 }
@@ -382,8 +393,8 @@ TEST(FaultFirewall, DataErrorInComposeBecomesAFaultStatus) {
   EXPECT_EQ(r.status, RunStatus::kFault);
 
   // And a fault sweep tallies it as an engine failure instead of dying.
-  const FaultSweepTotals totals =
-      sweep_faulty_executions(g, p, FaultSpec::Crash(0), accept_all, {});
+  const SweepTotals totals =
+      sweep_all(g, p, FaultSpec::Crash(0), accept_all, {});
   EXPECT_EQ(totals.engine_failures, totals.executions);
 }
 
@@ -413,9 +424,9 @@ TEST(FaultLocality, ClaimedSweepsEqualUnclaimedSweepsUnderCrashAndCorruption) {
   for (const auto& [claimed, plain] : protocols) {
     for (const Graph& g : graphs) {
       for (const FaultSpec& faults : specs) {
-        const FaultSweepTotals want = sweep_faulty_executions(
+        const SweepTotals want = sweep_all(
             g, *plain, faults, crash_tolerant, serial);
-        const FaultSweepTotals got = sweep_faulty_executions(
+        const SweepTotals got = sweep_all(
             g, *claimed, faults, crash_tolerant, serial);
         const std::string where = claimed->name() + " n=" +
                                   std::to_string(g.node_count()) + " m=" +
@@ -447,10 +458,10 @@ TEST(VerdictAccumulator, EmptyAccumulatorHasVacuousBounds) {
 
 TEST(VerdictAccumulator, RecordsVerdictsAndRates) {
   VerdictAccumulator v;
-  v.record(FaultVerdict::kCorrect);
-  v.record(FaultVerdict::kWrongOutput);
-  v.record(FaultVerdict::kDeadlockOrFault);
-  v.record(FaultVerdict::kCorrect);
+  v.record_failure(false);
+  v.record_failure(true);
+  v.record_failure(true);
+  v.record_failure(false);
   EXPECT_EQ(v.trials(), 4u);
   EXPECT_EQ(v.failures(), 2u);
   EXPECT_DOUBLE_EQ(v.failure_rate(), 0.5);
@@ -526,7 +537,7 @@ TEST(StatisticalVerdict, AdaptiveCrashCoinMatchesItsAnalyticRate) {
     StatisticalOptions opts;
     opts.trials = trials;
     opts.seed = 9;
-    const StatisticalTotals totals = run_statistical_verdict(
+    const SweepTotals totals = run_statistical_verdict(
         g, p, FaultSpec::Adaptive(9, trials), crashed_means_failure, opts);
     EXPECT_EQ(totals.verdict.trials(), trials);
     const WilsonInterval ci = totals.verdict.wilson();
@@ -544,12 +555,12 @@ TEST(StatisticalVerdict, TotalsAreThreadCountInvariant) {
   serial.trials = 512;
   serial.seed = 3;
   serial.threads = 1;
-  const StatisticalTotals oracle =
+  const SweepTotals oracle =
       run_statistical_verdict(g, p, faults, crash_tolerant, serial);
   for (const std::size_t threads : {2u, 8u}) {
     StatisticalOptions opts = serial;
     opts.threads = threads;
-    const StatisticalTotals totals =
+    const SweepTotals totals =
         run_statistical_verdict(g, p, faults, crash_tolerant, opts);
     EXPECT_EQ(totals.verdict, oracle.verdict);
     EXPECT_EQ(totals.engine_failures, oracle.engine_failures);
@@ -567,7 +578,7 @@ TEST(StatisticalVerdict, StridedShardSplitMergesToTheSingleStream) {
   StatisticalOptions single;
   single.trials = 300;
   single.seed = 17;
-  const StatisticalTotals oracle =
+  const SweepTotals oracle =
       run_statistical_verdict(g, p, faults, crash_tolerant, single);
   for (const std::uint64_t stride : {2u, 3u, 5u}) {
     VerdictAccumulator merged;
@@ -576,7 +587,7 @@ TEST(StatisticalVerdict, StridedShardSplitMergesToTheSingleStream) {
       StatisticalOptions opts = single;
       opts.stride = stride;
       opts.offset = offset;
-      const StatisticalTotals shard =
+      const SweepTotals shard =
           run_statistical_verdict(g, p, faults, crash_tolerant, opts);
       merged.merge(shard.verdict);
       engine_failures += shard.engine_failures;
@@ -593,7 +604,7 @@ TEST(StatisticalVerdict, AdaptiveShardDocumentsMergeToTheSingleStream) {
   StatisticalOptions single;
   single.trials = 300;
   single.seed = 17;
-  const StatisticalTotals oracle =
+  const SweepTotals oracle =
       run_statistical_verdict(g, p, faults, crash_tolerant, single);
 
   shard::PlanOptions popts;

@@ -8,10 +8,9 @@
 // process-boundary pipeline is under test, not just the in-memory merge.
 //
 // Golden files under tests/wb/data/ pin the text formats byte-for-byte: the
-// v2 set is what the serializers write today (exact, hll, and manifest); the
-// v1 set is frozen input the parsers must keep reading (as exact).
-// Malformed/truncated/version-skewed inputs must be rejected with a
-// wb::DataError diagnostic, never undefined behavior.
+// v2 set is what the serializers write today (exact, hll, and manifest).
+// Malformed/truncated/version-skewed (v1 included) inputs must be rejected
+// with a wb::DataError diagnostic, never undefined behavior.
 #include "src/wb/shard.h"
 
 #include <gtest/gtest.h>
@@ -42,9 +41,18 @@ using shard::ShardSpec;
 
 using Accept = std::function<bool(const ExecutionResult&)>;
 
-/// A typed empty accept callback: run_shard is overloaded on the classifier
-/// type (Accept vs FaultClassifier), so a bare nullptr is ambiguous.
-const Accept kNoAccept = nullptr;
+/// The ok/accept classifier: engine failures are kDeadlockOrFault, and
+/// `accept` (may be empty) judges each successful execution's output.
+FaultClassifier classify_with(Accept accept) {
+  return [accept = std::move(accept)](const ExecutionResult& r,
+                                      std::span<const NodeId>) {
+    if (!r.ok()) return FaultVerdict::kDeadlockOrFault;
+    if (accept != nullptr && !accept(r)) return FaultVerdict::kWrongOutput;
+    return FaultVerdict::kCorrect;
+  };
+}
+
+const FaultClassifier kNoAccept = classify_with(nullptr);
 
 std::string data_file(const std::string& name) {
   const std::string path = std::string(WB_TEST_DATA_DIR) + "/" + name;
@@ -96,7 +104,8 @@ MergedResult run_sharded(const Graph& g, const Protocol& p,
     const std::string spec_text = shard::serialize(spec);
     const ShardSpec parsed = shard::parse_shard_spec(spec_text);
     EXPECT_EQ(shard::serialize(parsed), spec_text) << "spec round trip";
-    const ShardResult run = shard::run_shard(parsed, p, accept, threads);
+    const ShardResult run =
+        shard::run_shard(parsed, p, classify_with(accept), threads);
     const std::string result_text = shard::serialize(run);
     results.push_back(shard::parse_shard_result(result_text));
     EXPECT_EQ(shard::serialize(results.back()), result_text)
@@ -544,13 +553,13 @@ TEST(ShardOracle, AcceptExceptionPropagatesOutOfRunShard) {
     EXPECT_THROW(
         (void)shard::run_shard(
             specs[0], p,
-            [&](const ExecutionResult&) -> bool {
+            classify_with([&](const ExecutionResult&) -> bool {
               if (invocations.fetch_add(1, std::memory_order_relaxed) + 1 ==
                   3) {
                 throw std::runtime_error("accept bailed");
               }
               return true;
-            },
+            }),
             threads),
         std::runtime_error)
         << "threads=" << threads;
@@ -560,8 +569,7 @@ TEST(ShardOracle, AcceptExceptionPropagatesOutOfRunShard) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden files: the v2 text formats byte-for-byte, and the frozen v1 inputs
-// the parsers must keep reading.
+// Golden files: the v2 text formats byte-for-byte.
 
 TEST(ShardGolden, V2SpecFileRoundTripsByteIdentically) {
   const std::string text = data_file("path3_echo_v2.0.shard");
@@ -623,44 +631,6 @@ TEST(ShardGolden, V2ManifestRoundTripsByteIdentically) {
             shard::hash_document(data_file("path3_echo_v2.0.shard")));
 }
 
-TEST(ShardGolden, FrozenV1FilesStillParseAsExact) {
-  // The v1 formats predate the distinct-accumulator field; committed v1
-  // artifacts must keep parsing (as exact) so fleets can read old results.
-  const std::string spec_text = data_file("path3_echo.0.shard");
-  const ShardSpec spec = shard::parse_shard_spec(spec_text);
-  EXPECT_EQ(spec.distinct, DistinctConfig::Exact());
-  EXPECT_EQ(spec.protocol_spec, "echo-id");
-  EXPECT_EQ(spec.prefixes.size(), 3u);
-
-  const std::string result_text = data_file("path3_echo.0.result");
-  const ShardResult result = shard::parse_shard_result(result_text);
-  EXPECT_EQ(result.distinct, DistinctConfig::Exact());
-  EXPECT_EQ(result.executions, 3u);
-  EXPECT_EQ(result.board_hashes.size(), 3u);
-
-  // Re-serialization upgrades a v1 document to v2 with only the version
-  // bump and the (default) distinct field added — every other byte is
-  // preserved, including the recorded v1 plan fingerprint.
-  std::string upgraded_spec = spec_text;
-  upgraded_spec.replace(upgraded_spec.find("wbshard-spec v1"),
-                        15, "wbshard-spec v2");
-  upgraded_spec.insert(upgraded_spec.find("plan "), "distinct exact\n");
-  EXPECT_EQ(shard::serialize(spec), upgraded_spec);
-
-  std::string upgraded_result = result_text;
-  upgraded_result.replace(upgraded_result.find("wbshard-result v1"),
-                          17, "wbshard-result v2");
-  upgraded_result.insert(upgraded_result.find("distinct "),
-                         "distinct-kind exact\n");
-  EXPECT_EQ(shard::serialize(result), upgraded_result);
-
-  // Results of one (old) plan still merge with each other.
-  std::vector<ShardResult> halves = {result, result};
-  halves[1].shard_index = 1;
-  const MergedResult merged = shard::merge_shard_results(halves);
-  EXPECT_EQ(merged.executions, 6u);
-}
-
 TEST(ShardGolden, CommittedMalformedFixturesAreRejected) {
   for (const char* name :
        {"bad_magic.shard", "version_skew.shard", "bad_distinct.shard"}) {
@@ -669,10 +639,18 @@ TEST(ShardGolden, CommittedMalformedFixturesAreRejected) {
   }
   for (const char* name :
        {"truncated.result", "unsorted_hashes.result",
-        "registers_mismatch.result", "register_overflow.result"}) {
+        "registers_mismatch.result", "register_overflow.result",
+        "bad_failures_exceed_executions.result"}) {
     EXPECT_THROW((void)shard::parse_shard_result(data_file(name)), DataError)
         << name;
   }
+  // Counts that are each consistent but whose merged total overflows 2^64:
+  // the merge refuses instead of wrapping into a small, passing total.
+  const ShardResult overflowing =
+      shard::parse_shard_result(data_file("bad_executions_overflow.result"));
+  std::vector<ShardResult> halves = {overflowing, overflowing};
+  halves[1].shard_index = 1;
+  EXPECT_THROW((void)shard::merge_shard_results(halves), DataError);
   EXPECT_THROW((void)shard::parse_shard_manifest(
                    data_file("version_skew.manifest")),
                DataError);
@@ -708,6 +686,8 @@ TEST(ShardFormats, MalformedSpecsAreRejectedWithDiagnostics) {
                                      "wbshard-spec v9")},
       {"two-digit version", replace_first(valid, "wbshard-spec v2",
                                           "wbshard-spec v22")},
+      {"v1 is version skew", replace_first(valid, "wbshard-spec v2",
+                                           "wbshard-spec v1")},
       {"bad distinct config", replace_first(valid, "distinct exact",
                                             "distinct approximately")},
       {"hll precision out of range", replace_first(valid, "distinct exact",
@@ -773,6 +753,10 @@ TEST(ShardFormats, MalformedResultsAreRejectedWithDiagnostics) {
       {"wrong magic", replace_first(valid, "wbshard-result", "wbshard-spec")},
       {"version skew", replace_first(valid, "wbshard-result v2",
                                      "wbshard-result v0")},
+      {"v1 is version skew", replace_first(valid, "wbshard-result v2",
+                                           "wbshard-result v1")},
+      {"failures exceed executions",
+       replace_first(valid, "wrong-outputs 0", "wrong-outputs 4")},
       {"bad distinct kind", replace_first(valid, "distinct-kind exact",
                                           "distinct-kind fuzzy")},
       {"bad plan hash width", replace_first(valid, "plan ", "plan f ")},
