@@ -7,13 +7,10 @@
 //    takes minutes over at bench budgets — answered in BDD node count;
 //    the `executions` counter doubles as a correctness pin (the run fails
 //    if the count is not (2n)!).
-//  - BM_SymbolicFrontierAnonDegree/n — the explicit-frontier engine on
-//    star(n) with anonymous messages: converging schedules are merged by
-//    engine state, so `frontier_states` grows like the number of distinct
-//    boards, not n!.
-//  - BM_EnumeratedAnonDegree/n vs BM_MemoizedAnonDegree/n — the same
-//    instance through the serial enumerator with and without hash-consed
-//    state memoization; `states_per_schedule` is the collapse headline.
+//  - BM_EnumeratedAnonDegree/n vs BM_MemoizedAnonDegree/n — anonymous
+//    messages on star(n) through the serial enumerator with and without
+//    hash-consed state memoization; `states_per_schedule` is the collapse
+//    headline.
 //
 // CI merges this harness's JSON into gbench.json with the other
 // microbenchmarks' output.
@@ -42,11 +39,9 @@ void BM_SymbolicCircuitTwoCliques(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Graph g = two_cliques(n);  // 2n nodes, (2n)! schedules
   const TwoCliquesProtocol p;
-  sym::SymbolicOptions opts;
-  opts.engine = sym::SymEngine::kCircuit;
   sym::SymbolicTotals totals;
   for (auto _ : state) {
-    totals = sym::symbolic_sweep(g, p, kAcceptAll, opts);
+    totals = sym::symbolic_sweep(g, p, kAcceptAll);
     benchmark::DoNotOptimize(totals);
   }
   if (totals.executions != factorial(2 * n)) {
@@ -63,34 +58,6 @@ BENCHMARK(BM_SymbolicCircuitTwoCliques)
     ->Arg(3)
     ->Arg(4)
     ->Arg(5)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SymbolicFrontierAnonDegree(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph g = star_graph(n);
-  const AnonDegreeProtocol p;
-  sym::SymbolicOptions opts;
-  opts.engine = sym::SymEngine::kFrontier;
-  sym::SymbolicTotals totals;
-  for (auto _ : state) {
-    totals = sym::symbolic_sweep(g, p, kAcceptAll, opts);
-    benchmark::DoNotOptimize(totals);
-  }
-  if (totals.executions != factorial(n)) {
-    state.SkipWithError("frontier count disagrees with n!");
-    return;
-  }
-  state.counters["executions"] =
-      benchmark::Counter(static_cast<double>(totals.executions));
-  state.counters["frontier_states"] =
-      benchmark::Counter(static_cast<double>(totals.states));
-  state.counters["distinct"] =
-      benchmark::Counter(static_cast<double>(totals.distinct));
-}
-BENCHMARK(BM_SymbolicFrontierAnonDegree)
-    ->Arg(6)
-    ->Arg(8)
-    ->Arg(9)
     ->Unit(benchmark::kMillisecond);
 
 void BM_EnumeratedAnonDegree(benchmark::State& state) {

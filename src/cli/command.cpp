@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/support/check.h"
+#include "src/wb/exhaustive.h"
 
 namespace wb::cli {
 
@@ -89,6 +90,12 @@ int CommandRegistry::main(int argc, char** argv) const {
   try {
     return dispatch(std::vector<std::string>(argv + 1, argv + argc));
   } catch (const DataError& e) {
+    std::printf("error: %s\n", e.what());
+    return kExitUsage;
+  } catch (const BudgetExceededError& e) {
+    // A sweep larger than its budget= is an input the user must change,
+    // not a bug (BudgetExceededError is a LogicError only so the shard,
+    // fault and verdict layers can catch it by its precise type).
     std::printf("error: %s\n", e.what());
     return kExitUsage;
   } catch (const LogicError& e) {

@@ -8,7 +8,8 @@
 //
 //   0  the run completed and every verdict was PASS
 //   1  the run completed but something FAILed (wrong output, missing shard)
-//   2  bad input — malformed spec/file/flags (wb::DataError)
+//   2  bad input — malformed spec/file/flags (wb::DataError), or a sweep
+//      past its execution budget (wb::BudgetExceededError)
 //   3  a bug in wbsim itself (wb::LogicError)
 //
 // Handlers signal 2/3 by throwing; CommandRegistry::main catches at the top
@@ -66,9 +67,9 @@ class CommandRegistry {
   /// Exceptions escape to main() below.
   [[nodiscard]] int dispatch(const std::vector<std::string>& args) const;
 
-  /// dispatch() plus the top-level exception mapping: DataError prints
-  /// `error: ...` and returns kExitUsage, LogicError prints
-  /// `internal error: ...` and returns kExitBug.
+  /// dispatch() plus the top-level exception mapping: DataError and
+  /// BudgetExceededError print `error: ...` and return kExitUsage, any
+  /// other LogicError prints `internal error: ...` and returns kExitBug.
   [[nodiscard]] int main(int argc, char** argv) const;
 
  private:

@@ -582,21 +582,15 @@ RunReport run_protocol_spec_exhaustive(const std::string& spec, const Graph& g,
 
 /// Symbolic sweep (src/sym/reach.h): the serial enumerator's exact
 /// schedules/distinct/verdict accounting from a BDD fixpoint, enumerating
-/// zero schedules. The frontier engine calls the case's check once per
-/// distinct final state; the circuit engine carries its own
-/// decoded-incorrect set and never calls it — equivalence of the two is
-/// pinned by tests/sym/sym_equiv_test.cpp.
-RunReport run_protocol_spec_symbolic(const std::string& spec, const Graph& g,
-                                     const sym::SymbolicOptions& opts) {
+/// zero schedules. The circuit models carry their own decoded-incorrect
+/// sets, so no judge is passed; agreement with the case's check is pinned
+/// by tests/sym/sym_equiv_test.cpp.
+RunReport run_protocol_spec_symbolic(const std::string& spec, const Graph& g) {
   const ProtocolCase c = make_case(spec, g);
-  const sym::SymbolicTotals totals = sym::symbolic_sweep(
-      g, *c.protocol,
-      [&c](const ExecutionResult& r) { return judge(c, r.board); }, opts);
+  const sym::SymbolicTotals totals = sym::symbolic_sweep(g, *c.protocol, {});
 
   RunReport report = sweep_report(
-      *c.protocol, g,
-      "symbolic(order=" + sym::to_string(opts.order) +
-          ", engine=" + sym::to_string(totals.engine) + ")",
+      *c.protocol, g, "symbolic",
       std::to_string(totals.vars) + " vars, " + std::to_string(totals.layers) +
           " layers, 0 schedules enumerated",
       {.executions = totals.executions,
@@ -609,11 +603,7 @@ RunReport run_protocol_spec_symbolic(const std::string& spec, const Graph& g,
       totals.distinct, DistinctConfig{});
   std::ostringstream os;
   os << "bdd        " << totals.bdd.nodes << " nodes, " << totals.bdd.cache_hits
-     << "/" << totals.bdd.cache_lookups << " cache hits";
-  if (totals.engine == sym::SymEngine::kFrontier) {
-    os << ", " << totals.states << " frontier states";
-  }
-  os << "\n";
+     << "/" << totals.bdd.cache_lookups << " cache hits\n";
   report.summary += os.str();
   return report;
 }

@@ -102,11 +102,10 @@ struct ExhaustiveRunOptions {
 /// Validate `protocol_spec` on `g` with the symbolic (BDD) backend
 /// (src/sym/reach.h): the same exact schedules/distinct/verdict accounting
 /// as run_protocol_spec_exhaustive with threads=1, computed without
-/// enumerating any schedule. Throws wb::sym::SymUnsupportedError for model
-/// classes and options the backend refuses (CLI exit 2).
+/// enumerating any schedule. Throws wb::sym::SymUnsupportedError for the
+/// protocols the backend does not answer (CLI exit 2).
 [[nodiscard]] RunReport run_protocol_spec_symbolic(
-    const std::string& protocol_spec, const Graph& g,
-    const sym::SymbolicOptions& opts = {});
+    const std::string& protocol_spec, const Graph& g);
 
 /// Plan a sharded exhaustive sweep: construct the protocol named by
 /// `protocol_spec`, partition its schedule tree on `g`, and distribute the

@@ -7,6 +7,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
 #include "src/support/check.h"
+#include "src/sym/encode.h"
 
 namespace wb::cli {
 
@@ -267,52 +268,12 @@ bool is_symbolic_spec(const std::string& spec) {
   return split_spec(spec)[0] == "symbolic";
 }
 
-SymbolicSpec symbolic_from_spec(const std::string& spec) {
-  SymbolicSpec out;
+void symbolic_from_spec(const std::string& spec) {
   const auto parts = split_spec(spec);
   WB_REQUIRE_MSG(parts[0] == "symbolic",
                  "not a symbolic spec: '" << spec << "'");
-  constexpr std::string_view kOrderKey = "order=";
-  constexpr std::string_view kEngineKey = "engine=";
-  bool seen_order = false;
-  bool seen_engine = false;
   for (std::size_t i = 1; i < parts.size(); ++i) {
     const std::string& token = parts[i];
-    if (token.starts_with(kOrderKey)) {
-      WB_REQUIRE_MSG(!seen_order,
-                     "duplicate order= option in symbolic spec '" << spec
-                                                                  << "'");
-      seen_order = true;
-      const std::string value = token.substr(kOrderKey.size());
-      if (value == "interleave") {
-        out.order = sym::VarOrder::kInterleave;
-      } else if (value == "grouped") {
-        out.order = sym::VarOrder::kGrouped;
-      } else {
-        WB_REQUIRE_MSG(false, "order= must be interleave or grouped, got '"
-                                  << value << "'");
-      }
-      continue;
-    }
-    if (token.starts_with(kEngineKey)) {
-      WB_REQUIRE_MSG(!seen_engine,
-                     "duplicate engine= option in symbolic spec '" << spec
-                                                                   << "'");
-      seen_engine = true;
-      const std::string value = token.substr(kEngineKey.size());
-      if (value == "auto") {
-        out.engine = sym::SymEngine::kAuto;
-      } else if (value == "circuit") {
-        out.engine = sym::SymEngine::kCircuit;
-      } else if (value == "frontier") {
-        out.engine = sym::SymEngine::kFrontier;
-      } else {
-        WB_REQUIRE_MSG(false, "engine= must be auto, circuit or frontier, "
-                              "got '"
-                                  << value << "'");
-      }
-      continue;
-    }
     // Enumerator options get the typed refusal so callers (and exit codes)
     // can tell "the backend does not do this" from "you typo'd the spec".
     if (token.starts_with("faults=")) {
@@ -339,23 +300,9 @@ SymbolicSpec symbolic_from_spec(const std::string& spec) {
       throw sym::SymUnsupportedError(
           "thread counts — the symbolic sweep is one in-process fixpoint");
     }
-    WB_REQUIRE_MSG(false,
-                   "expected symbolic[:order=interleave|grouped]"
-                   "[:engine=auto|circuit|frontier], got '"
-                       << spec << "'");
+    throw DataError("the symbolic backend takes no options, got '" + spec +
+                    "'");
   }
-  return out;
-}
-
-std::string format_symbolic_spec(const SymbolicSpec& spec) {
-  std::string out = "symbolic";
-  if (spec.order != sym::VarOrder::kInterleave) {
-    out += ":order=" + sym::to_string(spec.order);
-  }
-  if (spec.engine != sym::SymEngine::kAuto) {
-    out += ":engine=" + sym::to_string(spec.engine);
-  }
-  return out;
 }
 
 std::string graph_spec_help() {

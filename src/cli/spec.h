@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "src/graph/graph.h"
-#include "src/sym/encode.h"
 #include "src/wb/adversary.h"
 #include "src/wb/distinct.h"
 #include "src/wb/faults.h"
@@ -79,8 +78,7 @@ inline constexpr std::uint64_t kDefaultSweepBudget = 2'000'000;
 ///
 /// Because the hll config itself contains a colon, `distinct=` must be the
 /// final option; and because fault specs contain colons too (see
-/// src/wb/faults.h), `faults=` must be the last option before it. The
-/// legacy PR 4 order `exhaustive:shards=K:T` still parses;
+/// src/wb/faults.h), `faults=` must be the last option before it.
 /// format_sweep_spec always prints the canonical order above, and
 /// parse(format(s)) == s for every SweepSpec (round-trip pinned in
 /// tests/cli/spec_test.cpp).
@@ -118,33 +116,19 @@ struct SweepSpec {
 /// appear in the grammar order. parse ∘ format is the identity.
 [[nodiscard]] std::string format_sweep_spec(const SweepSpec& spec);
 
-/// The grammar for the symbolic (BDD) sweep backend (src/sym/reach.h):
-///
-///   symbolic[:order=interleave|grouped][:engine=auto|circuit|frontier]
-///
-///   symbolic                   auto engine, interleaved variable order
-///   symbolic:order=grouped     order fields first, then message fields
-///   symbolic:engine=frontier   force the explicit-frontier engine
-///
-/// The backend answers exactly what the serial enumerator answers
-/// (schedules / distinct / verdict) — so the enumerator-only options are
-/// refused with a typed wb::sym::SymUnsupportedError (CLI exit 2):
-/// thread counts, shards=, budget= (nothing is enumerated, no budget to
-/// exceed), faults=, and distinct= (the count is exact by construction).
-/// Unknown tokens are plain DataErrors, as everywhere in the grammar.
-struct SymbolicSpec {
-  sym::VarOrder order = sym::VarOrder::kInterleave;
-  sym::SymEngine engine = sym::SymEngine::kAuto;
-
-  friend bool operator==(const SymbolicSpec&, const SymbolicSpec&) = default;
-};
-
+/// The symbolic (BDD) sweep backend (src/sym/reach.h) takes no options:
+/// the spec is the bare word `symbolic`. The backend answers exactly what
+/// the serial enumerator answers (schedules / distinct / verdict), so the
+/// enumerator-only options are refused with a typed
+/// wb::sym::SymUnsupportedError (CLI exit 2): thread counts, shards=,
+/// budget= (nothing is enumerated, no budget to exceed), faults=, and
+/// distinct= (the count is exact by construction). Any other token is a
+/// plain DataError, as everywhere in the grammar.
 [[nodiscard]] bool is_symbolic_spec(const std::string& spec);
-/// Parse a `symbolic...` spec. Throws SymUnsupportedError for enumerator
-/// options the backend refuses, wb::DataError on malformed input.
-[[nodiscard]] SymbolicSpec symbolic_from_spec(const std::string& spec);
-/// Canonical text; defaulted fields are omitted. parse ∘ format = identity.
-[[nodiscard]] std::string format_symbolic_spec(const SymbolicSpec& spec);
+/// Validate a `symbolic...` spec. Throws SymUnsupportedError for enumerator
+/// options the backend refuses, wb::DataError on anything else but the bare
+/// word.
+void symbolic_from_spec(const std::string& spec);
 
 /// Human-readable lists for --help.
 [[nodiscard]] std::string graph_spec_help();

@@ -77,8 +77,6 @@ struct WorkerState {
   /// Accounting key: "local" for launcher-spawned workers, the peer address
   /// for a handshaking remote, the hello host once admitted.
   std::string host = "local";
-  /// hello v2 host/pid; empty for locals and anonymous (v1) remotes.
-  std::string identity;
 };
 
 struct HostStats {
@@ -413,22 +411,19 @@ class Controller {
     }
     bool reconnected = false;
     const std::string identity = hello.identity();
-    if (!identity.empty()) {
-      const auto it = identity_to_worker_.find(identity);
-      if (it != identity_to_worker_.end() && it->second != index) {
-        reconnected = true;
-        WorkerState& old = workers_[it->second];
-        if (old.health != WorkerHealth::kDead) {
-          // The worker redialed before we noticed the old link die (e.g. a
-          // half-open connection). The new link is the live one; the old
-          // slot is a ghost.
-          lose_worker(it->second, "superseded by a reconnect from " + identity);
-        }
+    const auto it = identity_to_worker_.find(identity);
+    if (it != identity_to_worker_.end() && it->second != index) {
+      reconnected = true;
+      WorkerState& old = workers_[it->second];
+      if (old.health != WorkerHealth::kDead) {
+        // The worker redialed before we noticed the old link die (e.g. a
+        // half-open connection). The new link is the live one; the old
+        // slot is a ghost.
+        lose_worker(it->second, "superseded by a reconnect from " + identity);
       }
-      identity_to_worker_[identity] = index;
-      w.identity = identity;
     }
-    if (!hello.host.empty()) w.host = hello.host;
+    identity_to_worker_[identity] = index;
+    w.host = hello.host;
     w.health = WorkerHealth::kIdle;
     ++hosts_[w.host].admitted;
     if (observer_.on_admit) observer_.on_admit(index, hello, reconnected);

@@ -43,14 +43,10 @@ FrameType frame_type_from_string(std::string_view token) {
 }
 
 std::string HelloInfo::identity() const {
-  if (version < 2 || host.empty()) return {};
   return host + "/" + std::to_string(pid);
 }
 
 std::string serialize_hello(const HelloInfo& info) {
-  WB_CHECK_MSG(info.version == kHelloVersion,
-               "serialize_hello emits v" << kHelloVersion << " only, got v"
-                                         << info.version);
   WB_CHECK_MSG(!info.host.empty() && info.host.find('\n') == std::string::npos,
                "hello host must be a non-empty single line");
   std::string out;
@@ -71,10 +67,11 @@ std::string serialize_hello(const HelloInfo& info) {
 HelloInfo parse_hello(std::string_view payload) {
   HelloInfo info;
   const std::size_t magic_len = kHelloMagic.size();
-  if (payload.substr(0, magic_len) != kHelloMagic ||
-      (payload.size() > magic_len && payload[magic_len] != ' ')) {
-    return info;  // not a wbhello document: a v1 (anonymous) hello
-  }
+  WB_REQUIRE_MSG(payload.substr(0, magic_len) == kHelloMagic &&
+                     payload.size() > magic_len && payload[magic_len] == ' ',
+                 "a hello payload must be a wbhello v"
+                     << kHelloVersion
+                     << " document — refusing an anonymous worker");
   const std::size_t first_newline = payload.find('\n');
   const std::string_view version_token = payload.substr(
       magic_len + 1, (first_newline == std::string_view::npos
@@ -86,7 +83,6 @@ HelloInfo parse_hello(std::string_view payload) {
                      << version_token << "' (this controller speaks v"
                      << kHelloVersion
                      << ") — refusing a version-skewed worker");
-  info.version = 2;
   bool have_host = false;
   bool have_pid = false;
   std::string_view rest = first_newline == std::string_view::npos

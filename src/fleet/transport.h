@@ -113,38 +113,32 @@ class FrameDecoder {
 
 // --- the hello handshake document -------------------------------------------
 
-/// What a worker announces about itself in its hello frame. Two payload
-/// generations coexist on the wire:
+/// What a worker announces about itself in its hello frame, as the
+/// document
 ///
-///   v1 (PR 6 workers): freeform or empty payload — accepted as an
-///      *anonymous local*: no identity, no handshake validation, never
-///      recognized across reconnects.
-///   v2: a structured document,
+///   wbhello v2
+///   host <hostname>
+///   pid <pid>
+///   threads <n>
+///   heartbeat-ms <n>
 ///
-///        wbhello v2
-///        host <hostname>
-///        pid <pid>
-///        threads <n>
-///        heartbeat-ms <n>
+/// It carries the worker's identity (host + pid — stable across redials of
+/// one process, so a reconnecting worker is re-admitted instead of treated
+/// as a stranger) and its heartbeat interval, which the controller
+/// validates against its own --heartbeat-timeout-ms at handshake time: a
+/// pair that would flap between suspect and rehabilitated is refused up
+/// front.
 ///
-///      carrying the worker's identity (host + pid — stable across redials
-///      of one process, so a reconnecting worker is re-admitted instead of
-///      treated as a stranger) and its heartbeat interval, which the
-///      controller validates against its own --heartbeat-timeout-ms at
-///      handshake time: a pair that would flap between suspect and
-///      rehabilitated is refused up front.
-///
-/// A "wbhello" document of any *other* version is rejected (version skew —
+/// A "wbhello" document of any other version is rejected (version skew —
 /// an old controller must refuse a future worker loudly, not misparse it).
-/// Unknown keys in a v2 document are ignored, so v2 can grow fields.
+/// Unknown keys are ignored, so v2 can grow fields.
 struct HelloInfo {
-  int version = 1;
-  std::string host;            // empty for v1/anonymous
-  std::int64_t pid = -1;       // -1 for v1/anonymous
-  std::size_t threads = 0;     // sweep threads the worker will use
-  std::int64_t heartbeat_ms = -1;  // -1 unknown (v1), 0 disabled
+  std::string host;
+  std::int64_t pid = -1;
+  std::size_t threads = 0;         // sweep threads the worker will use
+  std::int64_t heartbeat_ms = -1;  // 0 disabled
 
-  /// "host/pid" for v2, "" for v1 — the reconnect-recognition key.
+  /// "host/pid" — the reconnect-recognition key.
   [[nodiscard]] std::string identity() const;
 
   friend bool operator==(const HelloInfo&, const HelloInfo&) = default;
@@ -152,13 +146,11 @@ struct HelloInfo {
 
 inline constexpr int kHelloVersion = 2;
 
-/// The v2 document above. WB_CHECKs version == kHelloVersion.
+/// The document above.
 [[nodiscard]] std::string serialize_hello(const HelloInfo& info);
 
-/// Parse a hello frame payload of either generation (see HelloInfo). Throws
-/// wb::DataError on a "wbhello" document whose version is not v2 or whose
-/// required fields are missing/garbled; any payload that is not a "wbhello"
-/// document at all is a v1 hello (anonymous, never an error).
+/// Parse a hello frame payload. Throws wb::DataError on any payload that is
+/// not a "wbhello v2" document with its host and pid lines.
 [[nodiscard]] HelloInfo parse_hello(std::string_view payload);
 
 #if defined(__unix__) || defined(__APPLE__)

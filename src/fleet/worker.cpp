@@ -126,7 +126,6 @@ SessionResult serve_worker(int in_fd, int out_fd, const ShardRunner& runner,
   std::string pending = std::move(pending_result);
   try {
     HelloInfo hello;
-    hello.version = kHelloVersion;
     hello.host = options.hostname.empty() ? local_hostname() : options.hostname;
     hello.pid = ::getpid();
     hello.threads = options.threads;

@@ -173,37 +173,6 @@ BddRef BddManager::exists(BddRef f, std::span<const std::uint32_t> vars) {
   return recurse(recurse, f);
 }
 
-BddRef BddManager::substitute(
-    BddRef f, std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs) {
-  if (pairs.empty() || f == kBddFalse || f == kBddTrue) return f;
-  std::vector<std::uint32_t> target(var_count_);
-  for (std::uint32_t v = 0; v < var_count_; ++v) target[v] = v;
-  std::uint32_t last_from = 0;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto [from, to] = pairs[i];
-    WB_REQUIRE_MSG(from < var_count_ && to < var_count_,
-                   "substitute pair (" << from << "," << to
-                                       << ") out of range");
-    WB_CHECK_MSG(i == 0 || from > last_from,
-                 "substitute pairs must be sorted by source variable");
-    last_from = from;
-    target[from] = to;
-  }
-  std::vector<BddRef> memo(nodes_.size(), kInvalid);
-  const auto recurse = [&](auto&& self, BddRef x) -> BddRef {
-    if (x == kBddFalse || x == kBddTrue) return x;
-    if (memo[x] != kInvalid) return memo[x];
-    const Node node = nodes_[x];
-    const BddRef lo = self(self, node.lo);
-    const BddRef hi = self(self, node.hi);
-    // make_node rejects order-breaking renames via its ordering check.
-    const BddRef r = make_node(target[node.var], lo, hi);
-    memo[x] = r;
-    return r;
-  };
-  return recurse(recurse, f);
-}
-
 std::uint64_t BddManager::sat_count(
     BddRef f, std::span<const std::uint32_t> universe) const {
   // position[v] = index of v in the universe; kMissing if absent.

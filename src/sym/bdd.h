@@ -11,8 +11,8 @@
 //
 // Operations: ITE with a computed cache (AND/OR/XOR/NOT/IFF are ITE
 // spellings and share it), existential quantification over a variable set,
-// variable-pair substitution (order-preserving renames), cube construction,
-// and sat_count model counting over an explicit variable universe.
+// cube construction, and sat_count model counting over an explicit variable
+// universe.
 //
 // Memory model: nodes are append-only and live for the manager's lifetime
 // (no garbage collection — whiteboard image fixpoints are short-lived and
@@ -80,13 +80,6 @@ class BddManager {
 
   /// ∃ vars. f — `vars` sorted ascending, duplicates allowed but useless.
   [[nodiscard]] BddRef exists(BddRef f, std::span<const std::uint32_t> vars);
-
-  /// Simultaneous variable rename: every node labelled `from` becomes
-  /// `to` per `pairs` (sorted by `from`, strictly ascending). The rename
-  /// must preserve relative order against the untouched variables in f's
-  /// support — make_node checks and throws LogicError otherwise.
-  [[nodiscard]] BddRef substitute(
-      BddRef f, std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs);
 
   /// Exact model count of f over `universe` (sorted ascending). Every
   /// variable in f's support must be in the universe (LogicError otherwise);

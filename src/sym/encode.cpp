@@ -10,39 +10,21 @@
 
 namespace wb::sym {
 
-std::string to_string(VarOrder order) {
-  return order == VarOrder::kInterleave ? "interleave" : "grouped";
-}
-
-std::string to_string(SymEngine engine) {
-  switch (engine) {
-    case SymEngine::kAuto: return "auto";
-    case SymEngine::kCircuit: return "circuit";
-    case SymEngine::kFrontier: return "frontier";
-  }
-  return "?";
-}
-
 BoardLayout::BoardLayout(std::size_t n, std::size_t id_bits,
-                         std::size_t msg_bits, VarOrder order)
-    : n_(n), id_bits_(id_bits), msg_bits_(msg_bits), order_(order) {
+                         std::size_t msg_bits)
+    : n_(n), id_bits_(id_bits), msg_bits_(msg_bits) {
   WB_CHECK_MSG(n >= 1, "BoardLayout needs at least one node");
 }
 
 std::uint32_t BoardLayout::order_bit(std::size_t slot, std::size_t b) const {
   WB_CHECK(slot < n_ && b < id_bits_);
-  const std::size_t v = order_ == VarOrder::kInterleave
-                            ? slot * (id_bits_ + msg_bits_) + b
-                            : slot * id_bits_ + b;
-  return static_cast<std::uint32_t>(v);
+  return static_cast<std::uint32_t>(slot * (id_bits_ + msg_bits_) + b);
 }
 
 std::uint32_t BoardLayout::msg_bit(std::size_t slot, std::size_t b) const {
   WB_CHECK(slot < n_ && b < msg_bits_);
-  const std::size_t v = order_ == VarOrder::kInterleave
-                            ? slot * (id_bits_ + msg_bits_) + id_bits_ + b
-                            : n_ * id_bits_ + slot * msg_bits_ + b;
-  return static_cast<std::uint32_t>(v);
+  return static_cast<std::uint32_t>(slot * (id_bits_ + msg_bits_) + id_bits_ +
+                                    b);
 }
 
 std::uint32_t BoardLayout::wrote_bit(NodeId v) const {
@@ -66,7 +48,6 @@ std::vector<std::uint32_t> BoardLayout::msg_universe() const {
       vars.push_back(msg_bit(slot, b));
     }
   }
-  std::sort(vars.begin(), vars.end());
   return vars;
 }
 
@@ -79,7 +60,6 @@ std::vector<std::uint32_t> BoardLayout::non_msg_universe() const {
     }
   }
   for (NodeId v = 1; v <= n_; ++v) vars.push_back(wrote_bit(v));
-  std::sort(vars.begin(), vars.end());
   return vars;
 }
 

@@ -10,16 +10,11 @@
 //                the BitWriter layout the concrete engine produces;
 // plus one wrote-bit per node (w_v = "v's message is on the board").
 // Activation variables collapse to the constant TRUE for the simultaneous
-// classes the circuit path supports (everyone activates in round one); the
-// general SYNC activation predicate is handled by the explicit-frontier
-// engine in src/sym/reach.h, which never needs activation variables either.
+// classes the circuit models cover (everyone activates in round one).
 // Unfilled slots are constrained all-zero.
 //
-// The `order=` knob of the symbolic sweep spec picks the variable order:
-//   interleave (default)  slot 0 [order|message], slot 1 [order|message],
-//                         ..., then the wrote-bits;
-//   grouped               all order fields, then all message fields, then
-//                         the wrote-bits.
+// Variables are interleaved: slot 0 [order|message], slot 1
+// [order|message], ..., then the wrote-bits.
 //
 // A CircuitModel is a per-protocol boolean-circuit form of
 // Protocol::compose/output: message_bit builds the bit a writer puts into a
@@ -27,8 +22,8 @@
 // round's transition relation per writer), wrong_outputs builds the set of
 // final boards whose decoded output fails the reference validation. Models
 // exist for the statically-bounded-width simultaneous protocols
-// (two-cliques, rooted-mis, anon-degree); everything else falls back to the
-// explicit-frontier engine or a typed refusal.
+// (two-cliques, rooted-mis, anon-degree); everything else is a typed
+// refusal.
 #pragma once
 
 #include <cstddef>
@@ -44,32 +39,20 @@
 
 namespace wb::sym {
 
-/// Variable-order knob of the `symbolic[:order=...]` sweep spec.
-enum class VarOrder { kInterleave, kGrouped };
-
-/// Engine-selection knob (`engine=` token): the circuit image fixpoint, the
-/// explicit-frontier engine, or pick automatically (circuit when a model
-/// exists).
-enum class SymEngine { kAuto, kCircuit, kFrontier };
-
-[[nodiscard]] std::string to_string(VarOrder order);
-[[nodiscard]] std::string to_string(SymEngine engine);
-
 /// Typed refusal for everything the symbolic backend does not answer
-/// (asynchronous model classes, fault specs, encodings past the variable
-/// cap, forced-circuit requests without a circuit model). Derives from
-/// DataError so the CLI maps it to the usage exit code (2).
+/// (asynchronous model classes, protocols without a circuit model, fault
+/// specs, encodings past the variable cap). Derives from DataError so the
+/// CLI maps it to the usage exit code (2).
 class SymUnsupportedError : public DataError {
  public:
   explicit SymUnsupportedError(const std::string& what)
       : DataError("symbolic backend unsupported: " + what) {}
 };
 
-/// Variable layout for one (n, message width, order) instance.
+/// Variable layout for one (n, message width) instance.
 class BoardLayout {
  public:
-  BoardLayout(std::size_t n, std::size_t id_bits, std::size_t msg_bits,
-              VarOrder order);
+  BoardLayout(std::size_t n, std::size_t id_bits, std::size_t msg_bits);
 
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
   [[nodiscard]] std::size_t id_bits() const noexcept { return id_bits_; }
@@ -105,7 +88,6 @@ class BoardLayout {
 
  private:
   std::size_t n_, id_bits_, msg_bits_;
-  VarOrder order_;
 };
 
 class CircuitModel {

@@ -161,8 +161,7 @@ class EngineState {
   /// from the board at write time (synchronous, so no memory is state at
   /// all), and the round counter tracks the write count — so two
   /// non-terminal states with equal keys behave identically under every
-  /// future schedule. Used by the memoizing exhaustive sweep and the
-  /// symbolic frontier engine.
+  /// future schedule. Used by the memoizing exhaustive sweep.
   [[nodiscard]] Hash128 memo_key() const;
 
   // --- Backtracking API (the exhaustive explorer) ---

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/cli/runners.h"
+#include "src/cli/spec.h"
 #include "src/support/check.h"
 
 namespace wb::cli {
@@ -84,6 +86,43 @@ TEST(CommandRegistry, ExitCodeConventionsAreTheDocumentedOnes) {
   EXPECT_EQ(kExitFail, 1);
   EXPECT_EQ(kExitUsage, 2);
   EXPECT_EQ(kExitBug, 3);
+}
+
+TEST(CommandRegistry, BudgetOverrunIsAUsageErrorNotABug) {
+  // A sweep past its budget= is an input to change (exit 2), though
+  // BudgetExceededError is a LogicError; every other LogicError is a bug.
+  CommandRegistry registry("tool");
+  registry.set_default(Command{
+      "", "", "tool", [](const std::vector<std::string>&) { return 0; }});
+  registry.add(Command{
+      "sweep", "a 6! sweep under a budget of 10", "tool sweep",
+      [](const std::vector<std::string>&) {
+        ExhaustiveRunOptions opts;
+        opts.threads = 1;
+        opts.max_executions = 10;
+        (void)run_protocol_spec_exhaustive(
+            "anon-degree", graph_from_spec("star:6"), opts);
+        return kExitPass;
+      }});
+  registry.add(Command{
+      "bug", "a broken invariant", "tool bug",
+      [](const std::vector<std::string>&) -> int {
+        throw LogicError("broken invariant");
+      }});
+  registry.add(Command{
+      "typo", "a malformed input", "tool typo",
+      [](const std::vector<std::string>&) -> int {
+        throw DataError("malformed input");
+      }});
+  const auto run = [&registry](const char* command) {
+    char program[] = "tool";
+    std::string token = command;
+    char* argv[] = {program, token.data()};
+    return registry.main(2, argv);
+  };
+  EXPECT_EQ(run("sweep"), kExitUsage);
+  EXPECT_EQ(run("typo"), kExitUsage);
+  EXPECT_EQ(run("bug"), kExitBug);
 }
 
 }  // namespace

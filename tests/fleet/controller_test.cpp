@@ -139,6 +139,17 @@ WorkerEndpoint fork_worker(const WorkerOptions& options = {},
   return WorkerEndpoint{pid, to_child[1], from_child[0]};
 }
 
+/// A hello from the calling process: call it in a forked child, so every
+/// fake worker announces its own pid and identities stay distinct.
+std::string hello_v2(const std::string& host, std::int64_t heartbeat_ms) {
+  HelloInfo info;
+  info.host = host;
+  info.pid = ::getpid();
+  info.threads = 1;
+  info.heartbeat_ms = heartbeat_ms;
+  return serialize_hello(info);
+}
+
 /// Fork a child that speaks raw frames according to `behave` (for byzantine
 /// behaviors run_worker would never produce). behave(in_fd, out_fd) runs in
 /// the child.
@@ -284,7 +295,7 @@ TEST(FleetController, WorkerDeadAtDispatchGetsNoFurtherShardsThatPass) {
     if (spawned++ == 0) {
       WorkerEndpoint trap = fork_raw([](int in_fd, int out_fd) {
         ::close(in_fd);
-        write_frame(out_fd, Frame{FrameType::kHello, ""});
+        write_frame(out_fd, Frame{FrameType::kHello, hello_v2("fake", 0)});
         std::this_thread::sleep_for(std::chrono::seconds(60));
       });
       // The hello is written only after the child closed its stdin end, so
@@ -328,7 +339,7 @@ TEST(FleetController, NeverHeartbeatingWorkerIsSuspectedAndItsShardReissued) {
     if (spawned++ == 0) {
       // The trap: hello, swallow one spec, sleep "forever".
       return fork_raw([](int in_fd, int out_fd) {
-        write_frame(out_fd, Frame{FrameType::kHello, ""});
+        write_frame(out_fd, Frame{FrameType::kHello, hello_v2("fake", 0)});
         FrameDecoder decoder;
         (void)read_frame(in_fd, decoder);
         std::this_thread::sleep_for(std::chrono::seconds(60));
@@ -362,7 +373,7 @@ TEST(FleetController, StaleDuplicateResultAfterCompletionIsDiscarded) {
   const WorkerLauncher launcher = [](std::size_t) {
     return fork_raw([](int in_fd, int out_fd) {
       FrameDecoder decoder;
-      write_frame(out_fd, Frame{FrameType::kHello, ""});
+      write_frame(out_fd, Frame{FrameType::kHello, hello_v2("fake", 0)});
       while (const std::optional<Frame> frame = read_frame(in_fd, decoder)) {
         if (frame->type == FrameType::kAck) continue;
         if (frame->type != FrameType::kSpec) return;
@@ -402,7 +413,7 @@ TEST(FleetController, ForeignResultIsDiscardedAndTheShardRetried) {
   const WorkerLauncher launcher = [&](std::size_t) {
     return fork_raw([&foreign_doc](int in_fd, int out_fd) {
       FrameDecoder decoder;
-      write_frame(out_fd, Frame{FrameType::kHello, ""});
+      write_frame(out_fd, Frame{FrameType::kHello, hello_v2("fake", 0)});
       bool lied = false;
       while (const std::optional<Frame> frame = read_frame(in_fd, decoder)) {
         if (frame->type == FrameType::kAck) continue;
@@ -445,7 +456,7 @@ TEST(FleetController, MalformedFramesKillTheWorkerAndTheFleetRecovers) {
   const WorkerLauncher launcher = [&](std::size_t) {
     if (spawned++ == 0) {
       return fork_raw([](int in_fd, int out_fd) {
-        write_frame(out_fd, Frame{FrameType::kHello, ""});
+        write_frame(out_fd, Frame{FrameType::kHello, hello_v2("fake", 0)});
         FrameDecoder decoder;
         (void)read_frame(in_fd, decoder);  // wait for the spec
         const char garbage[] = "this is not a frame\n";
@@ -657,16 +668,6 @@ int reap(pid_t pid) {
   WB_REQUIRE_MSG(::waitpid(pid, &status, 0) == pid, "waitpid failed");
   if (WIFEXITED(status)) return WEXITSTATUS(status);
   return WIFSIGNALED(status) ? -WTERMSIG(status) : -1;
-}
-
-std::string hello_v2(const std::string& host, std::int64_t heartbeat_ms) {
-  HelloInfo info;
-  info.version = kHelloVersion;
-  info.host = host;
-  info.pid = ::getpid();
-  info.threads = 1;
-  info.heartbeat_ms = heartbeat_ms;
-  return serialize_hello(info);
 }
 
 TEST(SocketFleet, DialInWorkersServeAnAllRemoteSweep) {

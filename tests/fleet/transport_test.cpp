@@ -158,7 +158,6 @@ TEST(Transport, FrameTypeTokensRoundTrip) {
 
 TEST(Transport, HelloV2RoundTrips) {
   HelloInfo info;
-  info.version = kHelloVersion;
   info.host = "rack7-node3";
   info.pid = 41235;
   info.threads = 8;
@@ -174,19 +173,22 @@ TEST(Transport, HelloV2WireFormIsTheDocumentedDocument) {
   info.pid = 7;
   info.threads = 2;
   info.heartbeat_ms = 0;
-  info.version = kHelloVersion;
   EXPECT_EQ(serialize_hello(info),
             "wbhello v2\nhost h\npid 7\nthreads 2\nheartbeat-ms 0\n");
 }
 
-TEST(Transport, LegacyHelloPayloadsParseAsAnonymousV1) {
-  // PR 6 workers sent "pid N\n" (or anything at all); they stay accepted as
-  // anonymous locals: version 1, no identity, heartbeat unknown.
-  for (const std::string payload : {"pid 1234\n", "", "anything goes"}) {
-    const HelloInfo info = parse_hello(payload);
-    EXPECT_EQ(info.version, 1);
-    EXPECT_EQ(info.identity(), "");
-    EXPECT_EQ(info.heartbeat_ms, -1);
+TEST(Transport, AnonymousHelloPayloadsAreRefused) {
+  // Only a wbhello v2 document is a hello: a bare or freeform payload
+  // carries no identity to admit, so it is refused like any garbled one.
+  for (const std::string payload :
+       {"pid 1234\n", "", "anything goes", "wbhello", "wbhellov2\n"}) {
+    try {
+      (void)parse_hello(payload);
+      FAIL() << "accepted the anonymous hello '" << payload << "'";
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find("wbhello v2"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

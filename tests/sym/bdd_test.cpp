@@ -138,20 +138,6 @@ TEST(Bdd, ExistsQuantifiesAway) {
   EXPECT_EQ(m.exists(f, foreign), f);
 }
 
-TEST(Bdd, SubstituteRenamesInOrder) {
-  BddManager m(6);
-  // f over {0, 2}; shift to {1, 3} (order-preserving).
-  const BddRef f = m.bdd_and(m.var(0), m.nvar(2));
-  const std::vector<std::pair<std::uint32_t, std::uint32_t>> shift = {{0, 1},
-                                                                      {2, 3}};
-  EXPECT_EQ(m.substitute(f, shift), m.bdd_and(m.var(1), m.nvar(3)));
-  EXPECT_EQ(m.substitute(f, {}), f);
-  // An order-breaking rename (0 → 5 jumps past untouched var 2) is a bug.
-  const std::vector<std::pair<std::uint32_t, std::uint32_t>> breaking = {
-      {0, 5}};
-  EXPECT_THROW((void)m.substitute(f, breaking), LogicError);
-}
-
 TEST(Bdd, HashConsingSharesStructure) {
   BddManager m(8);
   const std::size_t base = m.stats().nodes;

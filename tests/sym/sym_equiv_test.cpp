@@ -35,14 +35,11 @@ RunReport serial_oracle(const char* protocol, const Graph& g) {
   return run_protocol_spec_exhaustive(protocol, g, opts);
 }
 
-void expect_symbolic_matches(const char* graph, const char* protocol,
-                             const sym::SymbolicOptions& opts = {}) {
+void expect_symbolic_matches(const char* graph, const char* protocol) {
   const Graph g = graph_from_spec(graph);
   const RunReport oracle = serial_oracle(protocol, g);
-  const RunReport sym = run_protocol_spec_symbolic(protocol, g, opts);
-  const std::string label =
-      std::string(graph) + " " + protocol + " order=" +
-      sym::to_string(opts.order) + " engine=" + sym::to_string(opts.engine);
+  const RunReport sym = run_protocol_spec_symbolic(protocol, g);
+  const std::string label = std::string(graph) + " " + protocol;
   EXPECT_EQ(sym.executions, oracle.executions) << label;
   EXPECT_EQ(sym.engine_failures, oracle.engine_failures) << label;
   EXPECT_EQ(sym.wrong_outputs, oracle.wrong_outputs) << label;
@@ -53,61 +50,18 @@ void expect_symbolic_matches(const char* graph, const char* protocol,
 }
 
 TEST(SymEquiv, SymbolicMatchesTheSerialEnumerator) {
-  // Every SYNC-capable zoo protocol the backend answers, on small graphs
-  // where the enumerator is the affordable ground truth.
-  const std::pair<const char*, const char*> cases[] = {
-      {"twocliques:3", "two-cliques"},   // circuit, 720 schedules
-      {"switched:3", "two-cliques"},     // circuit, NO instance
-      {"path:4", "mis:1"},               // circuit, 24 schedules
-      {"star:5", "anon-degree"},         // circuit, converging boards
-      {"cycle:6", "anon-degree"},        // circuit, all-equal degrees
+  // Every protocol with a circuit model, on every small-graph family where
+  // the enumerator is the affordable ground truth: converging (anonymous)
+  // and signed boards, YES and NO two-cliques instances, a MIS root of
+  // every degree class.
+  const char* const graphs[] = {
+      "path:5",   "cycle:6",     "star:7",       "grid:2x3",
+      "tree:7:3", "gnp:7:1/2:3", "twocliques:3", "switched:3",
   };
-  for (const auto& [graph, protocol] : cases) {
-    expect_symbolic_matches(graph, protocol);
-  }
-}
-
-TEST(SymEquiv, FrontierOnlyProtocolsMatch) {
-  // SYNC (activation-gated) protocols have no circuit model; the explicit-
-  // frontier engine must still reproduce the oracle bit-for-bit.
-  sym::SymbolicOptions opts;
-  opts.engine = sym::SymEngine::kFrontier;
-  const std::pair<const char*, const char*> cases[] = {
-      {"cgnp:8:1/2:3", "sync-bfs"},
-      {"twocliques:3", "spanning-forest"},
-      {"path:5", "spanning-forest"},
-  };
-  for (const auto& [graph, protocol] : cases) {
-    expect_symbolic_matches(graph, protocol, opts);
-  }
-}
-
-TEST(SymEquiv, BothVariableOrdersAnswerIdentically) {
-  for (const auto order : {sym::VarOrder::kInterleave, sym::VarOrder::kGrouped}) {
-    sym::SymbolicOptions opts;
-    opts.order = order;
-    expect_symbolic_matches("twocliques:3", "two-cliques", opts);
-    expect_symbolic_matches("star:5", "anon-degree", opts);
-  }
-}
-
-TEST(SymEquiv, CircuitAndFrontierEnginesAgree) {
-  // The two symbolic engines are independent implementations of the same
-  // semantics; cross-check them against each other, not just the oracle.
-  for (const char* protocol : {"two-cliques", "anon-degree"}) {
-    const Graph g = graph_from_spec("twocliques:3");
-    sym::SymbolicOptions circuit;
-    circuit.engine = sym::SymEngine::kCircuit;
-    sym::SymbolicOptions frontier;
-    frontier.engine = sym::SymEngine::kFrontier;
-    const RunReport a = run_protocol_spec_symbolic(protocol, g, circuit);
-    const RunReport b = run_protocol_spec_symbolic(protocol, g, frontier);
-    EXPECT_EQ(a.executions, b.executions) << protocol;
-    EXPECT_EQ(a.engine_failures, b.engine_failures) << protocol;
-    EXPECT_EQ(a.wrong_outputs, b.wrong_outputs) << protocol;
-    EXPECT_EQ(report_lines(a), report_lines(b)) << protocol;
-    EXPECT_NE(a.summary.find("engine=circuit"), std::string::npos);
-    EXPECT_NE(b.summary.find("engine=frontier"), std::string::npos);
+  for (const char* graph : graphs) {
+    for (const char* protocol : {"two-cliques", "mis:1", "anon-degree"}) {
+      expect_symbolic_matches(graph, protocol);
+    }
   }
 }
 
@@ -133,16 +87,29 @@ TEST(SymEquiv, AsynchronousClassesAreRefused) {
   }
 }
 
-TEST(SymEquiv, ForcedCircuitWithoutAModelIsRefused) {
-  sym::SymbolicOptions opts;
-  opts.engine = sym::SymEngine::kCircuit;
-  const Graph g = graph_from_spec("cgnp:8:1/2:3");
-  EXPECT_THROW((void)run_protocol_spec_symbolic("sync-bfs", g, opts),
-               sym::SymUnsupportedError);
+TEST(SymEquiv, SynchronousProtocolsWithoutACircuitAreRefused) {
+  // The SYNC protocols with activation predicates have no circuit model;
+  // the refusal is typed and points at the memoized enumerator.
+  const std::pair<const char*, const char*> cases[] = {
+      {"cgnp:8:1/2:3", "sync-bfs"},
+      {"twocliques:3", "spanning-forest"},
+      {"path:5", "spanning-forest"},
+  };
+  for (const auto& [graph, protocol] : cases) {
+    try {
+      (void)run_protocol_spec_symbolic(protocol, graph_from_spec(graph));
+      FAIL() << "expected SymUnsupportedError for " << graph << " "
+             << protocol;
+    } catch (const sym::SymUnsupportedError& e) {
+      EXPECT_NE(std::string(e.what()).find("exhaustive:memoize"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SymEquiv, UnboundedWidthsHitTheVariableCap) {
-  // complete:600 needs 6000 frontier variables against the 4096 cap; the
+  // complete:600 needs more circuit variables than the 4096 cap; the
   // refusal is typed and happens before any BDD work.
   const Graph g = graph_from_spec("complete:600");
   try {

@@ -19,7 +19,7 @@
 //
 //   exhaustive[:THREADS][:memoize][:shards=K][:budget=N]
 //            [:distinct=exact|hll[:P]]
-//   symbolic[:order=interleave|grouped][:engine=auto|circuit|frontier]
+//   symbolic   (no options; two-cliques, mis:ROOT and anon-degree only)
 //
 // `shards=K` runs the sweep as a K-worker *fleet*: the schedule tree is
 // planned into K shard specs, K persistent worker processes are spawned, and
@@ -375,10 +375,10 @@ int print_outcomes(const std::vector<wb::fleet::PlanOutcome>& outcomes) {
     }
     if (outcome.budget_exceeded) {
       // The serial oracle throws BudgetExceededError here; keep the same
-      // observable exit behavior (internal error, code 3).
-      std::printf("internal error: plan %s exceeded its execution budget\n",
+      // observable exit behavior (a usage error, code 2).
+      std::printf("error: plan %s exceeded its execution budget\n",
                   outcome.name.c_str());
-      exit_code = std::max(exit_code, wb::cli::kExitBug);
+      exit_code = std::max(exit_code, wb::cli::kExitUsage);
       continue;
     }
     exit_code = std::max(exit_code, print_merged(outcome.merged));
@@ -853,12 +853,8 @@ int cmd_classic(const std::vector<std::string>& all_args) {
     WB_REQUIRE_MSG(!counterexample,
                    "--counterexample needs an exhaustive adversary spec "
                    "(the symbolic backend enumerates no schedules)");
-    const wb::cli::SymbolicSpec symbolic =
-        wb::cli::symbolic_from_spec(adversary_spec);
-    wb::sym::SymbolicOptions opts;
-    opts.order = symbolic.order;
-    opts.engine = symbolic.engine;
-    return print_report(wb::cli::run_protocol_spec_symbolic(args[1], g, opts));
+    wb::cli::symbolic_from_spec(adversary_spec);
+    return print_report(wb::cli::run_protocol_spec_symbolic(args[1], g));
   }
   if (wb::cli::is_exhaustive_spec(adversary_spec)) {
     const wb::cli::SweepSpec sweep = wb::cli::sweep_from_spec(adversary_spec);
@@ -898,8 +894,8 @@ wb::cli::CommandRegistry build_registry() {
           wb::cli::adversary_spec_help() +
           "\nsweeps: exhaustive[:THREADS][:memoize][:shards=K][:budget=N]"
           "[:faults=F][:distinct=exact|hll[:P]]"
-          "\n        symbolic[:order=interleave|grouped]"
-          "[:engine=auto|circuit|frontier]"
+          "\n        symbolic (two-cliques, mis:ROOT, anon-degree; other "
+          "protocols: exhaustive:memoize)"
           "\nfaults: none crash:F corrupt:NUM/DEN[:SEED] "
           "adaptive:SEED[:TRIALS]",
       "wbsim <graph-spec> <protocol-spec> [adversary-spec] "
