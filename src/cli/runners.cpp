@@ -205,10 +205,10 @@ FaultClassifier make_fault_classifier(const ProtocolCase& c) {
   };
 }
 
-/// Memoized exhaustive sweep (wb::sweep_memoized): serial sweep answering
-/// repeated engine states from a memo table. The schedules/verdict lines
-/// are byte-identical to the unmemoized serial sweep's; the adversary line
-/// reports the collapse.
+/// `exhaustive:memoize` (wb::sweep_memoized): the serial one-task sweep —
+/// every judged sweep memoizes per task — whose adversary line reports the
+/// memo counters. The schedules/verdict lines are byte-identical to the
+/// serial sweep's.
 RunReport run_exhaustive_memoized(const ProtocolCase& c, const Graph& g,
                                   const ExhaustiveRunOptions& ropts) {
   WB_REQUIRE_MSG(!ropts.counterexample,
@@ -219,10 +219,8 @@ RunReport run_exhaustive_memoized(const ProtocolCase& c, const Graph& g,
                  "memoize is fault-free only");
   WB_REQUIRE_MSG(ropts.threads <= 1, "memoized sweeps are serial");
   ExhaustiveOptions opts;
-  opts.threads = 1;
   opts.max_executions = ropts.max_executions;
   opts.distinct = ropts.distinct;
-  opts.memoize = true;
   const MemoizedTotals totals = sweep_memoized(
       g, *c.protocol,
       [&c](const ExecutionResult& r) { return judge(c, r.board); }, opts);

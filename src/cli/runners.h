@@ -68,9 +68,9 @@ struct ExhaustiveRunOptions {
   /// minimum — while parallel sweeps keep the running minimum over every
   /// failure they visit.
   bool counterexample = false;
-  /// Hash-consed state memoization (wb::sweep_memoized): serial, fault-free,
-  /// no counterexample tracking; the report's schedules/verdict lines are
-  /// byte-identical to the unmemoized serial sweep's.
+  /// The serial one-task sweep that reports its memo counters
+  /// (wb::sweep_memoized; every sweep memoizes per task): fault-free, no
+  /// counterexample tracking, schedules/verdict lines as the serial sweep's.
   bool memoize = false;
   /// Distinct-board accumulator (src/wb/distinct.h): exact sorted-run dedup
   /// (default) or a HyperLogLog estimate with flat memory.

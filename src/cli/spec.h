@@ -67,7 +67,7 @@ inline constexpr std::uint64_t kDefaultSweepBudget = 2'000'000;
 ///
 ///   exhaustive                 every schedule, all cores, in-process
 ///   exhaustive:1               the serial oracle
-///   exhaustive:memoize         serial sweep with hash-consed state memo
+///   exhaustive:memoize         serial sweep printing its memo counters
 ///   exhaustive:shards=4        4 worker processes (fleet), merged
 ///   exhaustive:2:shards=4      4 workers, 2 sweep threads each
 ///   exhaustive:budget=100000   stop (loudly) after 100000 executions
@@ -97,9 +97,9 @@ struct SweepSpec {
   /// Failure model: fault-free (default), crash:F, corrupt:NUM/DEN[:SEED],
   /// or adaptive:SEED[:TRIALS] (statistical verdict).
   FaultSpec faults{};
-  /// Hash-consed state memoization (wb::sweep_memoized): totals are
-  /// bit-identical to the unmemoized serial sweep. Serial in-process only —
-  /// the parser rejects it with threads > 1, shards, or faults.
+  /// The serial sweep that reports its memo counters (wb::sweep_memoized;
+  /// every sweep memoizes per task). Serial in-process only — the parser
+  /// rejects it with threads > 1, shards, or faults.
   bool memoize = false;
 
   friend bool operator==(const SweepSpec& a, const SweepSpec& b) {

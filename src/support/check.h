@@ -8,6 +8,8 @@
 //    callers can catch them and treat them as a protocol-level rejection.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -74,3 +76,16 @@ namespace detail {
       ::wb::detail::throw_data(#expr, __FILE__, __LINE__, wb_os_.str()); \
     }                                                                   \
   } while (false)
+
+namespace wb {
+
+/// a + b, or wb::DataError naming the `what` count that would pass 2^64 - 1.
+[[nodiscard]] inline std::uint64_t checked_add(std::uint64_t a, std::uint64_t b,
+                                               const char* what) {
+  WB_REQUIRE_MSG(b <= std::numeric_limits<std::uint64_t>::max() - a,
+                 what << " count overflows 64 bits (" << a << " + " << b
+                      << ")");
+  return a + b;
+}
+
+}  // namespace wb

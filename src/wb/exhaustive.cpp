@@ -26,81 +26,133 @@ struct alignas(64) ExploreControl {
   std::atomic<bool> stop{false};
 };
 
+struct KeyHasher {
+  std::size_t operator()(const Hash128& h) const noexcept {
+    return static_cast<std::size_t>(h.lo ^ h.hi);
+  }
+};
+
 // Depth-first over adversary choices on ONE journaling EngineState: branches
 // are taken by write_node() and undone by rewind(), never by copying the
 // state. rewind() restores the candidate set, so each frame iterates
 // candidates() by index across its writes, and the scratch ExecutionResult
 // is pooled: a steady-state visit allocates nothing. In a parallel sweep
 // each subtree task owns one Backtracker seeded by replaying the task's
-// decision prefix.
-template <typename Visitor>
+// decision prefix. Given a SweepMemo, the task also memoizes: every
+// expanded state records its subtree's tally (the sum of the verdicts the
+// visitor tallied) under EngineState::memo_key(), and a state seen before
+// is credited from the table instead of walked.
 class Backtracker {
  public:
   Backtracker(const Graph& g, const Protocol& p, const EngineOptions& eopts,
-              ExploreControl& ctl, Visitor& visit)
-      : state_(g, p, eopts), ctl_(&ctl), visit_(&visit) {
+              ExploreControl& ctl, const JudgeVisitor& visit, std::size_t task,
+              SweepMemo* memo)
+      : state_(g, p, eopts),
+        ctl_(&ctl),
+        visit_(&visit),
+        task_(task),
+        memo_(memo) {
     state_.set_journaling(true);
   }
 
   /// Replay `prefix` (one adversary decision per round) and exhaust the
-  /// subtree below it. The prefix must consist of decisions recorded from
-  /// non-terminal rounds of this same (graph, protocol).
-  void run(std::span<const NodeId> prefix) {
+  /// subtree below it, returning its tally. The prefix must consist of
+  /// decisions recorded from non-terminal rounds of this (graph, protocol).
+  Tally run(std::span<const NodeId> prefix) {
     for (const NodeId v : prefix) {
       state_.begin_round();
       WB_CHECK_MSG(!state_.terminal(),
                    "subtree prefix reached a terminal state");
       state_.write_node(v);
     }
-    explore();
+    return explore();
   }
 
  private:
-  // Invariant: explore() returns with the state rewound to how it found it.
-  void explore() {
-    if (ctl_->stop.load(std::memory_order_relaxed)) return;
+  // Invariant: explore() returns with the state rewound to how it found it,
+  // and returns the tally of the subtree it walked.
+  Tally explore() {
+    if (ctl_->stop.load(std::memory_order_relaxed)) return {};
     if (state_.terminal()) {
       // The write that led here ended the run (a synchronous message is
       // composed at its write): that choice is an execution of its own.
-      visit_terminal();
-      return;
+      return visit_terminal();
     }
     const EngineState::Checkpoint pre_round = state_.checkpoint();
     state_.begin_round();
     if (state_.terminal()) {
-      visit_terminal();
+      const Tally leaf = visit_terminal();
       state_.rewind(pre_round);
-      return;
+      return leaf;
     }
+    const bool memoize = memoizing();
+    Hash128 key{};
+    if (memoize) {
+      key = state_.memo_key();
+      if (const auto it = table_.find(key); it != table_.end()) {
+        // The subtree below an identical state: the same terminals, so the
+        // same tally — and its boards are already in the task's aggregates.
+        charge(it->second.executions);
+        memo_->hits.fetch_add(1, std::memory_order_relaxed);
+        state_.rewind(pre_round);
+        return it->second;
+      }
+      memo_->states.fetch_add(1, std::memory_order_relaxed);
+    }
+    Tally sum;
     // Re-fetched each iteration: the write and the subtree below change the
     // candidate set, and rewind(pre_write) restores it.
     const EngineState::Checkpoint pre_write = state_.checkpoint();
     for (std::size_t i = 0; i < state_.candidates().size(); ++i) {
       if (ctl_->stop.load(std::memory_order_relaxed)) break;
       state_.write_node(state_.candidates()[i]);
-      explore();
+      sum += explore();
       state_.rewind(pre_write);
     }
+    // A stopped walk counted only part of the subtree; the probe may have
+    // dropped the table meanwhile.
+    if (memoize && memo_ != nullptr &&
+        !ctl_->stop.load(std::memory_order_relaxed)) {
+      table_.emplace(key, sum);
+    }
     state_.rewind(pre_round);
+    return sum;
   }
 
-  void visit_terminal() {
-    // Reserve this execution's slot in the shared count BEFORE visiting: the
-    // sweep's return value is then exactly the number of visitor
-    // invocations (no execution is counted without being visited, none is
-    // visited without being counted), and whether the budget guard fires
-    // depends only on the total, never on the thread count.
-    const std::uint64_t slot =
-        ctl_->visited.fetch_add(1, std::memory_order_relaxed);
-    if (slot >= ctl_->budget) {
-      ctl_->visited.fetch_sub(1, std::memory_order_relaxed);
-      ctl_->stop.store(true, std::memory_order_relaxed);
-      throw BudgetExceededError(ctl_->budget);
+  /// The sweep-wide probe: once SweepMemo::kProbeStates states were
+  /// memoized without a single hit in any task, drop the table and walk
+  /// plainly; the first hit keeps the memo on for good.
+  bool memoizing() {
+    if (memo_ != nullptr && memo_->hits.load(std::memory_order_relaxed) == 0 &&
+        memo_->states.load(std::memory_order_relaxed) >=
+            SweepMemo::kProbeStates) {
+      memo_ = nullptr;
+      table_ = {};
     }
+    return memo_ != nullptr;
+  }
+
+  /// Reserve `n` executions in the shared count BEFORE visiting or
+  /// crediting them: the sweep's return value is then exactly the number of
+  /// executions visited or credited, and whether the budget guard fires
+  /// depends only on the total, never on the thread count or the memo.
+  void charge(std::uint64_t n) {
+    const std::uint64_t before =
+        ctl_->visited.fetch_add(n, std::memory_order_relaxed);
+    if (before <= ctl_->budget && n <= ctl_->budget - before) return;
+    ctl_->visited.fetch_sub(n, std::memory_order_relaxed);
+    ctl_->stop.store(true, std::memory_order_relaxed);
+    (void)checked_add(before, n, "execution");  // past 2^64 - 1: DataError
+    throw BudgetExceededError(ctl_->budget);
+  }
+
+  Tally visit_terminal() {
+    charge(1);
     state_.finish_into(scratch_);
+    Tally leaf;
     bool keep_going = false;
     try {
-      keep_going = (*visit_)(scratch_);
+      keep_going = (*visit_)(scratch_, task_, leaf);
     } catch (...) {
       ctl_->stop.store(true, std::memory_order_relaxed);
       scratch_.board = Whiteboard();
@@ -111,70 +163,21 @@ class Backtracker {
     // sole owner and rewinds in place. (A visitor that kept a copy of the
     // result still owns a consistent snapshot — copy-on-write.)
     scratch_.board = Whiteboard();
+    return leaf;
   }
 
   EngineState state_;
   ExploreControl* ctl_;
-  Visitor* visit_;
+  const JudgeVisitor* visit_;
+  std::size_t task_;
   ExecutionResult scratch_;
+  SweepMemo* memo_;  // null: walk plainly
+  std::unordered_map<Hash128, Tally, KeyHasher> table_;
 };
 
 std::size_t resolve_threads(std::size_t requested) {
   if (requested != 0) return requested;
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
-/// Sweep exactly the subtrees of `tasks`, serially or over the shared pool.
-/// visit(result, task_index) must be safe to call concurrently for
-/// *different* task indices (a single task is always processed by one
-/// worker). The visited set, the shared count, and whether the budget guard
-/// fires are identical for any thread count; only the inter-task visit
-/// order varies.
-template <typename Visit>
-void sweep_tasks(const Graph& g, const Protocol& p,
-                 const ExhaustiveOptions& opts,
-                 std::span<const PrefixTask> tasks, ExploreControl& ctl,
-                 const Visit& visit) {
-  const std::size_t threads = resolve_threads(opts.threads);
-  if (threads > 1 && tasks.size() > 1) {
-    ThreadPool::shared().parallel_for(
-        tasks.size(),
-        [&](std::size_t t) {
-          if (ctl.stop.load(std::memory_order_relaxed)) return;
-          auto task_visit = [&visit, t](const ExecutionResult& r) {
-            return visit(r, t);
-          };
-          Backtracker<decltype(task_visit)> bt(g, p, opts.engine, ctl,
-                                               task_visit);
-          bt.run(tasks[t].prefix());
-        },
-        threads);
-    return;
-  }
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    if (ctl.stop.load(std::memory_order_relaxed)) break;
-    auto task_visit = [&visit, t](const ExecutionResult& r) {
-      return visit(r, t);
-    };
-    Backtracker<decltype(task_visit)> bt(g, p, opts.engine, ctl, task_visit);
-    bt.run(tasks[t].prefix());
-  }
-}
-
-/// The full-sweep driver behind the classic entry points.
-/// prepare(task_count) runs before any visit; visit(result, task) as in
-/// sweep_tasks.
-template <typename Prepare, typename Visit>
-std::uint64_t explore_all(const Graph& g, const Protocol& p,
-                          const ExhaustiveOptions& opts,
-                          const Prepare& prepare, const Visit& visit) {
-  ExploreControl ctl;
-  ctl.budget = opts.max_executions;
-  const std::vector<PrefixTask> tasks =
-      partition_for_threads(g, p, opts.engine, opts.threads);
-  prepare(tasks.size());
-  sweep_tasks(g, p, opts, tasks, ctl, visit);
-  return ctl.visited.load(std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -227,26 +230,55 @@ std::vector<PrefixTask> partition_executions(const Graph& g, const Protocol& p,
   return tasks;
 }
 
-std::uint64_t for_each_execution(
-    const Graph& g, const Protocol& p,
-    const std::function<bool(const ExecutionResult&)>& visit,
-    const ExhaustiveOptions& opts) {
-  return explore_all(
-      g, p, opts, [](std::size_t) {},
-      [&visit](const ExecutionResult& r, std::size_t) { return visit(r); });
+std::uint64_t judge_executions_under(const Graph& g, const Protocol& p,
+                                     std::span<const PrefixTask> tasks,
+                                     const JudgeVisitor& visit,
+                                     SweepMemo& memo,
+                                     const ExhaustiveOptions& opts) {
+  ExploreControl ctl;
+  ctl.budget = opts.max_executions;
+  memo.tallies.assign(tasks.size(), Tally{});
+  // A task runs on one worker, so visits are concurrent only across task
+  // indices. The visited set, the shared count, and whether the budget guard
+  // fires are identical for any thread count; only the inter-task visit
+  // order varies.
+  const auto run_task = [&](std::size_t t) {
+    if (ctl.stop.load(std::memory_order_relaxed)) return;
+    Backtracker bt(g, p, opts.engine, ctl, visit, t,
+                   memo.enabled ? &memo : nullptr);
+    memo.tallies[t] = bt.run(tasks[t].prefix());
+  };
+  const std::size_t threads = resolve_threads(opts.threads);
+  if (threads > 1 && tasks.size() > 1) {
+    ThreadPool::shared().parallel_for(tasks.size(), run_task, threads);
+  } else {
+    for (std::size_t t = 0; t < tasks.size(); ++t) run_task(t);
+  }
+  return ctl.visited.load(std::memory_order_relaxed);
 }
 
 std::uint64_t for_each_execution_under(
     const Graph& g, const Protocol& p, std::span<const PrefixTask> tasks,
     const std::function<bool(const ExecutionResult&, std::size_t)>& visit,
     const ExhaustiveOptions& opts) {
-  ExploreControl ctl;
-  ctl.budget = opts.max_executions;
-  sweep_tasks(g, p, opts, tasks, ctl,
-              [&visit](const ExecutionResult& r, std::size_t t) {
-                return visit(r, t);
-              });
-  return ctl.visited.load(std::memory_order_relaxed);
+  SweepMemo plain;
+  plain.enabled = false;
+  return judge_executions_under(
+      g, p, tasks,
+      [&visit](const ExecutionResult& r, std::size_t t, Tally&) {
+        return visit(r, t);
+      },
+      plain, opts);
+}
+
+std::uint64_t for_each_execution(
+    const Graph& g, const Protocol& p,
+    const std::function<bool(const ExecutionResult&)>& visit,
+    const ExhaustiveOptions& opts) {
+  return for_each_execution_under(
+      g, p, partition_for_threads(g, p, opts.engine, opts.threads),
+      [&visit](const ExecutionResult& r, std::size_t) { return visit(r); },
+      opts);
 }
 
 bool all_executions_ok(
@@ -254,9 +286,9 @@ bool all_executions_ok(
     const std::function<bool(const ExecutionResult&)>& accept,
     const ExhaustiveOptions& opts) {
   std::atomic<bool> ok{true};
-  explore_all(
-      g, p, opts, [](std::size_t) {},
-      [&](const ExecutionResult& r, std::size_t) {
+  for_each_execution(
+      g, p,
+      [&](const ExecutionResult& r) {
         if (!r.ok() || !accept(r)) {
           // Returning false sets the shared stop flag, so sibling subtrees
           // cancel at their next poll; the verdict itself cannot flip back.
@@ -264,7 +296,8 @@ bool all_executions_ok(
           return false;
         }
         return true;
-      });
+      },
+      opts);
   return ok.load(std::memory_order_relaxed);
 }
 
@@ -272,99 +305,26 @@ MemoizedTotals sweep_memoized(
     const Graph& g, const Protocol& p,
     const std::function<bool(const ExecutionResult&)>& judge,
     const ExhaustiveOptions& opts) {
-  WB_REQUIRE_MSG(opts.threads == 1, "memoized sweeps are serial");
-
-  struct MemoEntry {
-    std::uint64_t executions = 0;
-    std::uint64_t engine_failures = 0;
-    std::uint64_t wrong_outputs = 0;
-  };
-  struct KeyHasher {
-    std::size_t operator()(const Hash128& h) const noexcept {
-      return static_cast<std::size_t>(h.lo ^ h.hi);
-    }
-  };
-  std::unordered_map<Hash128, MemoEntry, KeyHasher> memo;
-
   MemoizedTotals totals;
-  std::unique_ptr<DistinctAccumulator> distinct =
+  const std::unique_ptr<DistinctAccumulator> distinct =
       make_distinct_accumulator(opts.distinct);
-  std::uint64_t charged = 0;  // executions accounted so far — the budget
-                              // counter the unmemoized sweep would hold at
-                              // the same point of its identical visit order
-  const auto charge = [&](std::uint64_t executions) {
-    if (executions > opts.max_executions - charged) {
-      throw BudgetExceededError(opts.max_executions);
-    }
-    charged += executions;
-  };
-
-  EngineState state(g, p, opts.engine);
-  state.set_journaling(true);
-  ExecutionResult scratch;
-
-  const auto visit_terminal = [&] {
-    charge(1);
-    ++totals.terminals_visited;
-    state.finish_into(scratch);
-    MemoEntry leaf{1, 0, 0};
-    if (!scratch.ok()) {
-      leaf.engine_failures = 1;
-    } else if (!judge(scratch)) {
-      leaf.wrong_outputs = 1;
-    }
-    distinct->insert(scratch.board.content_hash());
-    // As in Backtracker::visit_terminal: release the board so the engine is
-    // again its sole owner, and appends and rewinds stay in place.
-    scratch.board = Whiteboard();
-    return leaf;
-  };
-
-  // Invariant (as in Backtracker::explore): returns with the state rewound
-  // to how it found it, and returns the subtree's totals.
-  const auto explore = [&](const auto& self) -> MemoEntry {
-    // A write that ended the run (as in Backtracker::explore) is a leaf.
-    if (state.terminal()) return visit_terminal();
-    const EngineState::Checkpoint pre_round = state.checkpoint();
-    state.begin_round();
-    if (state.terminal()) {
-      const MemoEntry leaf = visit_terminal();
-      state.rewind(pre_round);
-      return leaf;
-    }
-    const Hash128 key = state.memo_key();
-    if (const auto it = memo.find(key); it != memo.end()) {
-      // The whole subtree was explored from an identical state: its
-      // terminals, in the same relative order, contribute the same totals —
-      // and its distinct boards are already in the accumulator (set-union
-      // and register-max are idempotent, so skipping the re-inserts leaves
-      // exact and hll counts alike unchanged).
-      ++totals.memo_hits;
-      charge(it->second.executions);
-      state.rewind(pre_round);
-      return it->second;
-    }
-    ++totals.states_explored;
-    MemoEntry sum;
-    const EngineState::Checkpoint pre_write = state.checkpoint();
-    for (std::size_t i = 0; i < state.candidates().size(); ++i) {
-      state.write_node(state.candidates()[i]);
-      const MemoEntry sub = self(self);
-      sum.executions += sub.executions;
-      sum.engine_failures += sub.engine_failures;
-      sum.wrong_outputs += sub.wrong_outputs;
-      state.rewind(pre_write);
-    }
-    memo.emplace(key, sum);
-    state.rewind(pre_round);
-    return sum;
-  };
-
-  const MemoEntry root = explore(explore);
-  totals.executions = root.executions;
-  totals.engine_failures = root.engine_failures;
-  totals.wrong_outputs = root.wrong_outputs;
+  SweepMemo memo;
+  const PrefixTask whole;
+  totals.executions = judge_executions_under(
+      g, p, {&whole, 1},
+      [&](const ExecutionResult& r, std::size_t, Tally& tally) {
+        ++totals.terminals_visited;
+        const bool failed = !r.ok();
+        tally += {1, failed ? 1u : 0u, !failed && !judge(r) ? 1u : 0u};
+        distinct->insert(r.board.content_hash());
+        return true;
+      },
+      memo, opts);
+  totals.engine_failures = memo.tallies[0].engine_failures;
+  totals.wrong_outputs = memo.tallies[0].wrong_outputs;
   totals.distinct = distinct->estimate();
+  totals.states_explored = memo.states.load(std::memory_order_relaxed);
+  totals.memo_hits = memo.hits.load(std::memory_order_relaxed);
   return totals;
 }
 
@@ -374,19 +334,19 @@ std::uint64_t count_distinct_final_boards(const Graph& g, const Protocol& p,
   // subtree task (exclusive to its worker, so no locking), merged afterwards
   // by merge_accumulators' order-oblivious tree — identical counts at any
   // thread count for exact (set union) and hll (register max) alike.
+  const std::vector<PrefixTask> tasks =
+      partition_for_threads(g, p, opts.engine, opts.threads);
   std::vector<std::unique_ptr<DistinctAccumulator>> accumulators;
-  explore_all(
-      g, p, opts,
-      [&](std::size_t task_count) {
-        accumulators.reserve(task_count);
-        for (std::size_t t = 0; t < task_count; ++t) {
-          accumulators.push_back(make_distinct_accumulator(opts.distinct));
-        }
-      },
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    accumulators.push_back(make_distinct_accumulator(opts.distinct));
+  }
+  for_each_execution_under(
+      g, p, tasks,
       [&](const ExecutionResult& r, std::size_t task) {
         accumulators[task]->insert(r.board.content_hash());
         return true;
-      });
+      },
+      opts);
   return merge_accumulators(std::move(accumulators), opts.threads)->estimate();
 }
 

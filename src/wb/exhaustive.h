@@ -24,9 +24,11 @@
 // PrefixTask list is public, and for_each_execution_under sweeps an
 // arbitrary subset of subtree tasks, so shards of one sweep can run in
 // different processes (or on different hosts) and be merged afterwards.
-// Judged sweeps — the CLI's exhaustive runner, a shard, a crash or
-// corruption world — all tally through the one wb::sweep (src/wb/faults.h):
-// for_each_execution_under per fault world, one SweepTotals leaf per task.
+// Judged sweeps — wb::sweep (the CLI runner, shards, fleet workers, fault
+// worlds) and sweep_memoized — tally through judge_executions_under, whose
+// tasks memoize converging states: anonymous-message protocols collapse n!
+// schedules to their distinct states, and a probe switches the memo off
+// where no state ever repeats.
 //
 // This is the strongest evidence our simulator can produce for the "yes"
 // cells of Table 2, and the machinery behind the minimax searches in the
@@ -34,6 +36,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -61,12 +64,9 @@ struct ExhaustiveOptions {
   /// layer above it): exact sorted-run dedup, or a HyperLogLog sketch whose
   /// memory is flat in the cardinality. See src/wb/distinct.h.
   DistinctConfig distinct{};
-  /// Hash-consed state memoization (sweep_memoized below): branches whose
-  /// engine state — board content + written set, EngineState::memo_key() —
-  /// was already explored are answered from a memo table instead of
-  /// re-descending. Totals are bit-identical to the unmemoized serial sweep;
-  /// the visitor-level APIs (for_each_execution*) ignore the flag, since
-  /// their contract is one visit per execution. Serial only.
+  /// Ignored: every judged sweep memoizes per task (judge_executions_under)
+  /// and the visitor APIs never do. Kept only because the perfbench harness
+  /// sets it; it goes with the next change to the benchmark contract.
   bool memoize = false;
   EngineOptions engine;
 };
@@ -152,6 +152,52 @@ std::uint64_t for_each_execution_under(
     const std::function<bool(const ExecutionResult&, std::size_t)>& visit,
     const ExhaustiveOptions& opts = {});
 
+/// Counts of a judged subtree: executions, and how many failed in the
+/// engine or produced a wrong output. What a memo hit credits in bulk.
+struct Tally {
+  std::uint64_t executions = 0;
+  std::uint64_t engine_failures = 0;
+  std::uint64_t wrong_outputs = 0;
+
+  Tally& operator+=(const Tally& o) {
+    executions += o.executions;
+    engine_failures += o.engine_failures;
+    wrong_outputs += o.wrong_outputs;
+    return *this;
+  }
+};
+
+/// The memo of one judged sweep, shared by its judge_executions_under calls
+/// (a fault sweep's worlds).
+struct SweepMemo {
+  /// States memoized with no hit anywhere, after which every task drops its
+  /// table and walks plainly: where messages embed the writer's ID no state
+  /// repeats, and the memo costs only this probe.
+  static constexpr std::uint64_t kProbeStates = 1024;
+
+  bool enabled = true;         // false: one visit per execution
+  std::vector<Tally> tallies;  // out: one per task of the last call
+  std::atomic<std::uint64_t> states{0};  // memoized states expanded
+  std::atomic<std::uint64_t> hits{0};    // branches answered from a table
+};
+
+/// A judged sweep of the subtrees of `tasks`: as for_each_execution_under,
+/// but visit(result, task, tally) also adds the terminal's verdict (one
+/// execution) to `tally`, and each task's sum lands in memo.tallies. With
+/// memo.enabled each task maps EngineState::memo_key() to subtree Tally: a
+/// state seen before is credited and charged to the budget in bulk, its
+/// terminals not visited again — so the verdict must depend only on the
+/// final state, and other per-task aggregates must be idempotent (a set).
+/// Tallies, the returned count and the budget guard are bit-identical to
+/// the plain sweep's; a count past 2^64 - 1 throws wb::DataError naming it.
+using JudgeVisitor =
+    std::function<bool(const ExecutionResult&, std::size_t, Tally&)>;
+std::uint64_t judge_executions_under(const Graph& g, const Protocol& p,
+                                     std::span<const PrefixTask> tasks,
+                                     const JudgeVisitor& visit,
+                                     SweepMemo& memo,
+                                     const ExhaustiveOptions& opts = {});
+
 /// True iff every execution is successful and `accept(result)` holds for all
 /// of them. Stops at the first violation and cancels sibling subtrees; the
 /// verdict is deterministic at any thread count. `accept` must be
@@ -170,21 +216,18 @@ struct MemoizedTotals {
   std::uint64_t engine_failures = 0;  // non-success terminal statuses
   std::uint64_t wrong_outputs = 0;    // successful but judge(result) == false
   std::uint64_t distinct = 0;         // distinct final boards, per opts.distinct
-  std::uint64_t states_explored = 0;  // distinct non-terminal states expanded
+  std::uint64_t states_explored = 0;  // states expanded while memoizing
   std::uint64_t memo_hits = 0;        // branches answered from the table
   std::uint64_t terminals_visited = 0;  // judge invocations (≤ executions)
 };
 
-/// Exhaustive sweep with hash-consed state memoization: a depth-first walk
-/// on one journaling EngineState that keys every branch point by
-/// EngineState::memo_key() and reuses the (executions, failures, wrong)
-/// subtree totals of states it has seen before. Protocols whose messages
-/// embed the writer's id never collapse (every board is order-unique — the
-/// memo is pure overhead); anonymous-message protocols (anon-degree)
-/// collapse factorially. Honors opts.max_executions with the same
-/// observable as the unmemoized sweep (throws BudgetExceededError iff it
-/// would); requires opts.threads == 1 and fault-free engine options.
-/// `judge` is invoked once per distinct terminal state, not per execution.
+/// The serial judged sweep with its memo counters: judge_executions_under
+/// on the one whole-tree task (so opts.threads is moot), judging each
+/// visited terminal — successful executions by `judge` — once per distinct
+/// terminal state, not per execution. Protocols whose messages embed the
+/// writer's id never collapse, and the probe switches their memo off;
+/// anonymous-message protocols (anon-degree) collapse factorially. Honors
+/// opts.max_executions exactly as the unmemoized sweep does.
 [[nodiscard]] MemoizedTotals sweep_memoized(
     const Graph& g, const Protocol& p,
     const std::function<bool(const ExecutionResult&)>& judge,

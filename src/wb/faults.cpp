@@ -76,20 +76,6 @@ std::uint64_t binomial_checked(std::uint64_t n, std::uint64_t k) {
 
 }  // namespace
 
-std::string_view fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone:
-      return "none";
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kCorrupt:
-      return "corrupt";
-    case FaultKind::kAdaptive:
-      return "adaptive";
-  }
-  return "?";
-}
-
 FaultSpec parse_fault_spec(const std::string& text) {
   const std::vector<std::string> fields = split_colon(text);
   const std::string& kind = fields[0];
@@ -282,18 +268,6 @@ void CorruptingBoard::append(Whiteboard& board, Bits message) const {
   board.append(model_.apply(message, board.message_count()));
 }
 
-std::string_view fault_verdict_name(FaultVerdict v) {
-  switch (v) {
-    case FaultVerdict::kCorrect:
-      return "correct";
-    case FaultVerdict::kWrongOutput:
-      return "wrong-output";
-    case FaultVerdict::kDeadlockOrFault:
-      return "deadlock-or-fault";
-  }
-  return "?";
-}
-
 double VerdictAccumulator::failure_rate() const {
   if (trials_ == 0) return 0.0;
   return static_cast<double>(failures_) / static_cast<double>(trials_);
@@ -389,13 +363,6 @@ std::vector<FaultTask> partition_worlds(const Graph& g, const Protocol& p,
   return out;
 }
 
-std::uint64_t checked_add(std::uint64_t a, std::uint64_t b, const char* what) {
-  WB_REQUIRE_MSG(b <= std::numeric_limits<std::uint64_t>::max() - a,
-                 "merged " << what << " count overflows 64 bits (" << a
-                           << " + " << b << ")");
-  return a + b;
-}
-
 }  // namespace
 
 std::vector<FaultTask> partition_fault_tasks(const Graph& g, const Protocol& p,
@@ -429,14 +396,15 @@ SweepTotals SweepTotals::merge(std::vector<SweepTotals> parts,
   std::vector<std::unique_ptr<DistinctAccumulator>> distinct;
   for (SweepTotals& part : parts) {
     total.executions =
-        checked_add(total.executions, part.executions, "execution");
-    total.engine_failures = checked_add(total.engine_failures,
-                                        part.engine_failures, "engine-failure");
-    total.wrong_outputs =
-        checked_add(total.wrong_outputs, part.wrong_outputs, "wrong-output");
-    total.worlds = checked_add(total.worlds, part.worlds, "world");
-    trials = checked_add(trials, part.verdict.trials(), "trial");
-    failures = checked_add(failures, part.verdict.failures(), "failure");
+        checked_add(total.executions, part.executions, "merged execution");
+    total.engine_failures = checked_add(
+        total.engine_failures, part.engine_failures, "merged engine-failure");
+    total.wrong_outputs = checked_add(total.wrong_outputs, part.wrong_outputs,
+                                      "merged wrong-output");
+    total.worlds = checked_add(total.worlds, part.worlds, "merged world");
+    trials = checked_add(trials, part.verdict.trials(), "merged trial");
+    failures =
+        checked_add(failures, part.verdict.failures(), "merged failure");
     if (part.distinct != nullptr) distinct.push_back(std::move(part.distinct));
   }
   total.verdict = VerdictAccumulator(trials, failures);
@@ -460,6 +428,8 @@ SweepTotals sweep(const Graph& g, const Protocol& p, const FaultSpec& faults,
   total.distinct = make_distinct_accumulator(opts.distinct);
   std::uint64_t remaining = opts.max_executions;
   std::atomic<bool> stopped{false};
+  SweepMemo memo;
+  memo.enabled = on_failure == nullptr;
   WorldProtocol wp;
   for (const auto& [world, prefixes] : by_world) {
     if (stopped.load(std::memory_order_relaxed)) break;
@@ -473,11 +443,11 @@ SweepTotals sweep(const Graph& g, const Protocol& p, const FaultSpec& faults,
     ExhaustiveOptions wopts = opts;
     wopts.max_executions = remaining;
     try {
-      remaining -= for_each_execution_under(
+      remaining -= judge_executions_under(
           g, wp.active(), prefixes,
-          [&](const ExecutionResult& r, std::size_t task) {
+          [&](const ExecutionResult& r, std::size_t task, Tally& tally) {
             const FaultVerdict v = classify(r, crashed);
-            leaves[task].record(v);
+            tally += SweepTotals::tally_of(v);
             leaves[task].distinct->insert(r.board.content_hash());
             if (v == FaultVerdict::kCorrect || on_failure == nullptr ||
                 on_failure(r, v)) {
@@ -486,10 +456,13 @@ SweepTotals sweep(const Graph& g, const Protocol& p, const FaultSpec& faults,
             stopped.store(true, std::memory_order_relaxed);
             return false;
           },
-          wopts);
+          memo, wopts);
     } catch (const BudgetExceededError&) {
       // Re-badge the per-world remainder as the caller's global budget.
       throw BudgetExceededError(opts.max_executions);
+    }
+    for (std::size_t t = 0; t < leaves.size(); ++t) {
+      leaves[t].add(memo.tallies[t]);
     }
     std::vector<SweepTotals> fold(2);
     fold[0] = std::move(total);
@@ -576,7 +549,7 @@ SweepTotals run_statistical_verdict(const Graph& g, const Protocol& p,
   const std::vector<ExecutionResult> results = run_batch(trials, bopts);
   SweepTotals totals;
   for (std::size_t i = 0; i < results.size(); ++i) {
-    totals.record(classify(results[i], crash_sets[i]));
+    totals.add(SweepTotals::tally_of(classify(results[i], crash_sets[i])));
   }
   return totals;
 }

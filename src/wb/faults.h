@@ -39,7 +39,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/wb/batch.h"
@@ -59,8 +58,6 @@ enum class FaultKind : std::uint8_t {
   kCorrupt,   // seed-deterministic message corruption/truncation
   kAdaptive,  // seeded random schedule + fault policy, statistical verdict
 };
-
-[[nodiscard]] std::string_view fault_kind_name(FaultKind kind);
 
 /// One failure model, fully parameterized. Text grammar (parse/format are
 /// exact inverses; parse throws wb::DataError on malformed input):
@@ -308,8 +305,6 @@ enum class FaultVerdict : std::uint8_t {
   kDeadlockOrFault,  // deadlocked un-decodably, engine fault, or decode error
 };
 
-[[nodiscard]] std::string_view fault_verdict_name(FaultVerdict v);
-
 /// Judges one execution of a faulty world. `crashed` is the world's crash
 /// set (empty for corruption/fault-free worlds); classifiers typically treat
 /// a deadlock of a crashed world as acceptable iff the partial board still
@@ -375,9 +370,9 @@ class VerdictAccumulator {
 // ---------------------------------------------------------------------------
 
 /// Totals of any sweep — in-process, one shard, a merged shard set, or a
-/// statistical sample. record() is the one place a FaultVerdict becomes
+/// statistical sample. tally_of() is the one place a FaultVerdict becomes
 /// counts: kDeadlockOrFault tallies into engine_failures, kWrongOutput into
-/// wrong_outputs, and both into the verdict's failures. `distinct`
+/// wrong_outputs, and add() both into the verdict's failures. `distinct`
 /// accumulates every visited execution's final-board hash (exhaustive
 /// sweeps); statistical sweeps leave it null, since a sampled board
 /// population is not a deterministic set. One cache line each: a sweep's
@@ -390,11 +385,16 @@ struct alignas(64) SweepTotals {
   std::unique_ptr<DistinctAccumulator> distinct = nullptr;
   VerdictAccumulator verdict{};
 
-  void record(FaultVerdict v) {
-    ++executions;
-    engine_failures += v == FaultVerdict::kDeadlockOrFault ? 1 : 0;
-    wrong_outputs += v == FaultVerdict::kWrongOutput ? 1 : 0;
-    verdict.record_failure(v != FaultVerdict::kCorrect);
+  void add(const Tally& t) {
+    executions += t.executions;
+    engine_failures += t.engine_failures;
+    wrong_outputs += t.wrong_outputs;
+    verdict.merge({t.executions, t.engine_failures + t.wrong_outputs});
+  }
+  /// One execution judged `v`.
+  [[nodiscard]] static Tally tally_of(FaultVerdict v) {
+    return {1, v == FaultVerdict::kDeadlockOrFault ? 1u : 0u,
+            v == FaultVerdict::kWrongOutput ? 1u : 0u};
   }
 
   /// Fold `parts` into one total. Counts add with overflow checks (a sum
@@ -445,12 +445,16 @@ using FailureVisitor =
 /// peak memory stays one world's leaves plus the running total). Worlds
 /// run in ascending order; opts.threads fans each world's prefixes over the
 /// pool; opts.max_executions bounds the whole call (BudgetExceededError,
-/// deterministically at any thread count). For a full sweep the totals are
-/// bit-identical at any thread count and any task split, and the totals of
-/// disjoint task lists merge to the totals of their union. `on_failure`
-/// (optional) sees each failing execution and may stop the sweep early —
-/// then the counts cover exactly the executions visited. kAdaptive has no
-/// exhaustive worlds (throws; use run_statistical_verdict).
+/// deterministically at any thread count). Each task memoizes converging
+/// states through judge_executions_under (one SweepMemo, so one probe, for
+/// all worlds), which classifies each distinct terminal state once — so
+/// `classify` must judge by the final status and board, not the schedule.
+/// For a full sweep the totals are bit-identical at any thread count and
+/// any task split, and the totals of disjoint task lists merge to the
+/// totals of their union. `on_failure` (optional) sees each failing
+/// execution — the memo is off, so every one — and may stop the sweep
+/// early; then the counts cover exactly the executions visited. kAdaptive
+/// has no exhaustive worlds (throws; use run_statistical_verdict).
 [[nodiscard]] SweepTotals sweep(const Graph& g, const Protocol& p,
                                 const FaultSpec& faults,
                                 std::span<const FaultTask> tasks,

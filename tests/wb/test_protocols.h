@@ -1,7 +1,8 @@
 // Miniature protocols used only by the engine/explorer tests: well-behaved,
 // deliberately misbehaving, and class-violating specimens, plus the two
-// that claim FrontierLocality (RumorProtocol, GossipCountProtocol) and the
-// WithoutLocality decorator their claims are checked against.
+// that claim FrontierLocality (RumorProtocol, GossipCountProtocol), the
+// WithoutLocality decorator their claims are checked against, and a
+// specimen whose boards hide their writers (WriterBitProtocol).
 #pragma once
 
 #include "src/protocols/codec.h"
@@ -267,6 +268,30 @@ class GossipCountProtocol final : public ProtocolWithOutput<int> {
     return sum;
   }
   std::string name() const override { return "gossip-count"; }
+};
+
+/// SIMSYNC specimen whose one-bit message is bit (message_count() mod 3) of
+/// the writer's ID: the board does not name its writers, so equal boards
+/// written by different node sets have different futures. A memo keyed on
+/// the board alone, without the written set, merges them and miscounts.
+class WriterBitProtocol final : public SimSyncProtocol<int> {
+ public:
+  std::size_t message_bit_limit(std::size_t) const override { return 1; }
+  Bits compose(const LocalView& view, const Whiteboard& board) const override {
+    BitWriter w;
+    w.write_bit(((view.id() >> (board.message_count() % 3)) & 1) != 0);
+    return w.take();
+  }
+  /// Output: the board read as a binary number, first message lowest.
+  int output(const Whiteboard& board, std::size_t) const override {
+    int value = 0;
+    for (std::size_t t = 0; t < board.message_count(); ++t) {
+      BitReader r(board.message(t));
+      if (r.read_bit()) value |= 1 << t;
+    }
+    return value;
+  }
+  std::string name() const override { return "writer-bit"; }
 };
 
 /// Forwards every callback of the protocol it wraps but claims no
