@@ -107,11 +107,9 @@ RunReport sweep_report(const Protocol& p, const Graph& g,
                                    totals.wrong_outputs, *distinct, config);
   } else {
     report.statistical = true;
-    report.verdict_trials = totals.verdict.trials();
-    report.verdict_failures = totals.verdict.failures();
-    os << "schedules  " << totals.verdict.trials()
+    os << "schedules  " << totals.executions
        << " sampled trials (statistical sweep)\n";
-    os << "verdict    " << verdict_summary(totals.verdict) << "\n";
+    os << "verdict    " << verdict_summary(totals.verdict()) << "\n";
   }
   report.summary = os.str();
   return report;
@@ -395,7 +393,7 @@ ProtocolCase make_case(const std::string& spec, const Graph& g) {
   }
   if (kind == "build-degenerate") {
     WB_REQUIRE_MSG(parts.size() == 2, "expected build-degenerate:K");
-    const int k = static_cast<int>(parse_u64(parts[1], "K"));
+    const int k = parse_int(parts[1], "K");
     return make(BuildDegenerateProtocol{k}, g, build_check(g));
   }
   if (kind == "build-full") {
@@ -409,8 +407,9 @@ ProtocolCase make_case(const std::string& spec, const Graph& g) {
   }
   if (kind == "mis") {
     WB_REQUIRE_MSG(parts.size() == 2, "expected mis:ROOT");
-    const NodeId root = static_cast<NodeId>(parse_u64(parts[1], "root"));
-    WB_REQUIRE_MSG(root >= 1 && root <= n, "root out of range");
+    const NodeId root =
+        static_cast<NodeId>(parse_u64_at_most(parts[1], "root", n));
+    WB_REQUIRE_MSG(root >= 1, "root out of range");
     return make(RootedMisProtocol(root), g,
                 [&g, root](const MisOutput& out, std::ostream& os) {
                   const bool ok = is_rooted_mis(g, out, root);
@@ -494,8 +493,9 @@ ProtocolCase make_case(const std::string& spec, const Graph& g) {
   }
   if (kind == "broken-first") {
     WB_REQUIRE_MSG(parts.size() == 2, "expected broken-first:V");
-    const NodeId want = static_cast<NodeId>(parse_u64(parts[1], "V"));
-    WB_REQUIRE_MSG(want >= 1 && want <= n, "V out of range");
+    const NodeId want =
+        static_cast<NodeId>(parse_u64_at_most(parts[1], "V", n));
+    WB_REQUIRE_MSG(want >= 1, "V out of range");
     return make(FirstWriterProtocol{}, g, [want](NodeId out, std::ostream& os) {
       const bool ok = out == want;
       os << "verdict    first writer " << out << " (want " << want << ") — "
@@ -535,8 +535,7 @@ ProtocolCase make_case(const std::string& spec, const Graph& g) {
     return make(connectivity_oracle(), g, yes_no_check(is_connected(g)));
   }
   if (kind == "diameter-oracle") {
-    const int d = static_cast<int>(
-        parse_u64(parts.size() == 2 ? parts[1] : "3", "D"));
+    const int d = parse_int(parts.size() == 2 ? parts[1] : "3", "D");
     const int diam = diameter(g);
     return make(diameter_at_most_oracle(d), g,
                 yes_no_check(diam >= 0 && diam <= d));

@@ -39,11 +39,9 @@ struct RunReport {
   std::uint64_t engine_failures = 0;
   std::uint64_t wrong_outputs = 0;
   std::uint64_t fault_worlds = 0;
-  /// Statistical (adaptive-adversary) sweeps: sampled trials instead of an
-  /// exhaustive visit set, with the verdict tally for Wilson intervals.
+  /// Statistical (adaptive-adversary) sweeps: `executions` counts sampled
+  /// trials instead of an exhaustive visit set.
   bool statistical = false;
-  std::uint64_t verdict_trials = 0;
-  std::uint64_t verdict_failures = 0;
 };
 
 /// Run `protocol_spec` on `g` under `adversary`. Throws wb::DataError for
@@ -108,8 +106,8 @@ struct ExhaustiveRunOptions {
     const std::string& protocol_spec, const Graph& g);
 
 /// Plan a sharded exhaustive sweep: construct the protocol named by
-/// `protocol_spec`, partition its schedule tree on `g`, and distribute the
-/// subtree prefixes round-robin over `shard_count` self-describing specs
+/// `protocol_spec`, partition its fault worlds' schedule trees on `g`, and
+/// distribute the subtrees round-robin over `shard_count` self-describing specs
 /// (serialize with wb::shard::serialize, run anywhere, merge with
 /// merge_shard_results).
 [[nodiscard]] std::vector<shard::ShardSpec> plan_protocol_spec_shards(

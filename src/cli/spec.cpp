@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <string_view>
 
 #include "src/graph/generators.h"
@@ -33,6 +34,19 @@ std::uint64_t parse_u64(const std::string& field, const std::string& what) {
   WB_REQUIRE_MSG(ec == std::errc{} && ptr == end,
                  "bad " << what << ": '" << field << "'");
   return value;
+}
+
+std::uint64_t parse_u64_at_most(const std::string& field,
+                                const std::string& what, std::uint64_t max) {
+  const std::uint64_t value = parse_u64(field, what);
+  WB_REQUIRE_MSG(value <= max, what << " " << value << " out of range (at most "
+                                    << max << ")");
+  return value;
+}
+
+int parse_int(const std::string& field, const std::string& what) {
+  return static_cast<int>(
+      parse_u64_at_most(field, what, std::numeric_limits<int>::max()));
 }
 
 std::pair<std::uint64_t, std::uint64_t> parse_prob(const std::string& field) {
@@ -67,7 +81,7 @@ Graph graph_from_spec(const std::string& spec) {
   }
   if (kind == "rmat") {
     expect_arity(parts, 4, "rmat:SCALE:EF:SEED");
-    return rmat_graph(static_cast<int>(parse_u64(parts[1], "scale")),
+    return rmat_graph(parse_int(parts[1], "scale"),
                       parse_u64(parts[2], "edge factor"),
                       parse_u64(parts[3], "seed"));
   }
@@ -115,14 +129,16 @@ Graph graph_from_spec(const std::string& spec) {
   if (kind == "forest") {
     expect_arity(parts, 4, "forest:N:PCT:SEED");
     return random_forest(parse_u64(parts[1], "N"),
-                         static_cast<int>(parse_u64(parts[2], "percent")),
+                         static_cast<int>(
+                             parse_u64_at_most(parts[2], "percent", 100)),
                          parse_u64(parts[3], "seed"));
   }
   if (kind == "kdeg") {
     expect_arity(parts, 5, "kdeg:N:K:PCT:SEED");
     return random_k_degenerate(parse_u64(parts[1], "N"),
-                               static_cast<int>(parse_u64(parts[2], "K")),
-                               static_cast<int>(parse_u64(parts[3], "percent")),
+                               parse_int(parts[2], "K"),
+                               static_cast<int>(
+                                   parse_u64_at_most(parts[3], "percent", 100)),
                                parse_u64(parts[4], "seed"));
   }
   if (kind == "gnp" || kind == "cgnp" || kind == "eob" || kind == "ceob") {

@@ -40,6 +40,13 @@ namespace wb::cli {
 /// Parse helpers used across the factories.
 [[nodiscard]] std::uint64_t parse_u64(const std::string& field,
                                       const std::string& what);
+/// parse_u64 of a field the caller narrows: a value above `max` is a
+/// DataError naming the field, never a silent wrap.
+[[nodiscard]] std::uint64_t parse_u64_at_most(const std::string& field,
+                                              const std::string& what,
+                                              std::uint64_t max);
+/// parse_u64_at_most(field, what, INT_MAX), as an int.
+[[nodiscard]] int parse_int(const std::string& field, const std::string& what);
 /// "NUM/DEN" probability field.
 [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> parse_prob(
     const std::string& field);

@@ -72,8 +72,10 @@ VerdictCell cell_from_report(const std::string& protocol_spec,
   cell.executions = report.executions;
   cell.engine_failures = report.engine_failures;
   cell.wrong_outputs = report.wrong_outputs;
-  cell.verdict_trials = report.verdict_trials;
-  cell.verdict_failures = report.verdict_failures;
+  if (report.statistical) {
+    cell.verdict_trials = report.executions;
+    cell.verdict_failures = report.engine_failures + report.wrong_outputs;
+  }
   return cell;
 }
 

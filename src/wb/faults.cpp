@@ -255,19 +255,6 @@ std::string CorruptingAdapter::name() const {
          std::to_string(model_.den) + "]";
 }
 
-Whiteboard CorruptingBoard::image(const Whiteboard& board) const {
-  Whiteboard out;
-  out.reserve(board.message_count());
-  for (std::size_t i = 0, e = board.message_count(); i < e; ++i) {
-    out.append(model_.apply(board.message(i), i));
-  }
-  return out;
-}
-
-void CorruptingBoard::append(Whiteboard& board, Bits message) const {
-  board.append(model_.apply(message, board.message_count()));
-}
-
 double VerdictAccumulator::failure_rate() const {
   if (trials_ == 0) return 0.0;
   return static_cast<double>(failures_) / static_cast<double>(trials_);
@@ -391,8 +378,6 @@ std::vector<FaultTask> partition_fault_tasks_for_threads(
 SweepTotals SweepTotals::merge(std::vector<SweepTotals> parts,
                                std::size_t threads) {
   SweepTotals total;
-  std::uint64_t trials = 0;
-  std::uint64_t failures = 0;
   std::vector<std::unique_ptr<DistinctAccumulator>> distinct;
   for (SweepTotals& part : parts) {
     total.executions =
@@ -402,12 +387,8 @@ SweepTotals SweepTotals::merge(std::vector<SweepTotals> parts,
     total.wrong_outputs = checked_add(total.wrong_outputs, part.wrong_outputs,
                                       "merged wrong-output");
     total.worlds = checked_add(total.worlds, part.worlds, "merged world");
-    trials = checked_add(trials, part.verdict.trials(), "merged trial");
-    failures =
-        checked_add(failures, part.verdict.failures(), "merged failure");
     if (part.distinct != nullptr) distinct.push_back(std::move(part.distinct));
   }
-  total.verdict = VerdictAccumulator(trials, failures);
   if (!distinct.empty()) {
     total.distinct = merge_accumulators(std::move(distinct), threads);
   }
@@ -431,12 +412,12 @@ SweepTotals sweep(const Graph& g, const Protocol& p, const FaultSpec& faults,
   SweepMemo memo;
   memo.enabled = on_failure == nullptr;
   WorldProtocol wp;
-  for (const auto& [world, prefixes] : by_world) {
+  for (const auto& [world, subtrees] : by_world) {
     if (stopped.load(std::memory_order_relaxed)) break;
     make_world(wp, g, p, faults, world);
     const std::span<const NodeId> crashed = wp.crashed();
     // One leaf per task: a task runs on one worker, so no locking.
-    std::vector<SweepTotals> leaves(prefixes.size());
+    std::vector<SweepTotals> leaves(subtrees.size());
     for (SweepTotals& leaf : leaves) {
       leaf.distinct = make_distinct_accumulator(opts.distinct);
     }
@@ -444,7 +425,7 @@ SweepTotals sweep(const Graph& g, const Protocol& p, const FaultSpec& faults,
     wopts.max_executions = remaining;
     try {
       remaining -= judge_executions_under(
-          g, wp.active(), prefixes,
+          g, wp.active(), subtrees,
           [&](const ExecutionResult& r, std::size_t task, Tally& tally) {
             const FaultVerdict v = classify(r, crashed);
             tally += SweepTotals::tally_of(v);

@@ -2,10 +2,9 @@
 //
 // Everything else in-tree assumes faithful nodes and a reliable whiteboard.
 // This layer drops that assumption without touching the engine's semantics:
-// each failure model is an adapter that wraps an unmodified protocol (or a
-// corruption decorator over the board itself), so the engine, the exhaustive
-// explorer, the shard formats, and the fleet all sweep faulty worlds through
-// the exact machinery that sweeps faithful ones.
+// each failure model is an adapter that wraps an unmodified protocol, so the
+// engine, the exhaustive explorer, the shard formats, and the fleet all sweep
+// faulty worlds through the exact machinery that sweeps faithful ones.
 //
 // Three models (FaultKind):
 //
@@ -17,16 +16,14 @@
 //    the exhaustive/shard partition as (world, prefix) FaultTasks, or sampled
 //    through the statistical engine.
 //  - corruption/truncation (kCorrupt): posted messages have bits flipped or
-//    are truncated by seed-deterministic injection (CorruptionModel), either
-//    at the writer (CorruptingAdapter) or as a board decorator
-//    (CorruptingBoard) — the reusable generalization of the corruption-fuzz
-//    suite's ad-hoc mutators.
+//    are truncated at the writer (CorruptingAdapter) by seed-deterministic
+//    injection (CorruptionModel).
 //  - adaptive randomized adversary (kAdaptive): schedule and fault choices
 //    are drawn per trial from a seeded policy and swept through the batch
 //    engine; the outcome is a *statistical* verdict — failure probability
-//    with a Wilson 95% confidence interval — accumulated in the mergeable
-//    VerdictAccumulator so sharded/fleet sweeps aggregate across shards
-//    exactly like distinct-board counts do.
+//    with a Wilson 95% confidence interval — read off the SweepTotals
+//    counts, which sharded/fleet sweeps add across shards exactly like every
+//    other tally.
 //
 // Fault-free configurations (crash:0, corrupt with p = 0) are bit-identical
 // to the unadapted protocol at any thread/shard count — the adapters forward
@@ -275,25 +272,6 @@ class CorruptingAdapter final : public Protocol {
   CorruptionModel model_;
 };
 
-/// Reader-side corruption: the decorator view of a whiteboard whose
-/// transport is unreliable. Message i of the image is model.apply(message i,
-/// salt = i). This is the reusable generalization of the corruption-fuzz
-/// suite's ad-hoc mutators: fuzzing a decoder is `decode(board.image(w))`.
-class CorruptingBoard {
- public:
-  explicit CorruptingBoard(CorruptionModel model) : model_(model) {}
-
-  /// The corrupted image of `board` (a fresh whiteboard; input untouched).
-  [[nodiscard]] Whiteboard image(const Whiteboard& board) const;
-  /// Append `message` to `board` through the channel (salt = its slot).
-  void append(Whiteboard& board, Bits message) const;
-
-  [[nodiscard]] const CorruptionModel& model() const { return model_; }
-
- private:
-  CorruptionModel model_;
-};
-
 // ---------------------------------------------------------------------------
 // Verdicts.
 // ---------------------------------------------------------------------------
@@ -319,31 +297,18 @@ struct WilsonInterval {
   double hi = 1.0;
 };
 
-/// Mergeable statistical verdict: trial and failure counts. Same contract as
-/// DistinctAccumulator (src/wb/distinct.h): the result depends only on the
-/// multiset of recorded outcomes, never on record/merge order or on how
-/// trials were split across threads, shards, or fleet workers — so
-/// cross-shard aggregation is an exact sum, pinned by the contract battery
-/// in tests/wb/faults_test.cpp.
+/// Statistical verdict: trial and failure counts, with the point estimate
+/// and Wilson interval of the failure probability. A sweep's verdict is
+/// SweepTotals::verdict(), so it adds across threads, shards and fleet
+/// workers exactly as the totals' counts do.
 class VerdictAccumulator {
  public:
   /// z for a two-sided 95% normal interval (the conventional 1.96).
   static constexpr double kZ95 = 1.96;
 
-  VerdictAccumulator() = default;
-  /// Rehydrate from serialized totals (shard results).
   VerdictAccumulator(std::uint64_t trials, std::uint64_t failures)
       : trials_(trials), failures_(failures) {
     WB_CHECK(failures_ <= trials_);
-  }
-
-  void record_failure(bool failed) {
-    ++trials_;
-    failures_ += failed ? 1 : 0;
-  }
-  void merge(const VerdictAccumulator& other) {
-    trials_ += other.trials_;
-    failures_ += other.failures_;
   }
 
   [[nodiscard]] std::uint64_t trials() const { return trials_; }
@@ -372,7 +337,7 @@ class VerdictAccumulator {
 /// Totals of any sweep — in-process, one shard, a merged shard set, or a
 /// statistical sample. tally_of() is the one place a FaultVerdict becomes
 /// counts: kDeadlockOrFault tallies into engine_failures, kWrongOutput into
-/// wrong_outputs, and add() both into the verdict's failures. `distinct`
+/// wrong_outputs, and verdict() counts both as failures. `distinct`
 /// accumulates every visited execution's final-board hash (exhaustive
 /// sweeps); statistical sweeps leave it null, since a sampled board
 /// population is not a deterministic set. One cache line each: a sweep's
@@ -383,13 +348,15 @@ struct alignas(64) SweepTotals {
   std::uint64_t wrong_outputs = 0;
   std::uint64_t worlds = 0;  // fault worlds swept (exhaustive sweeps)
   std::unique_ptr<DistinctAccumulator> distinct = nullptr;
-  VerdictAccumulator verdict{};
 
   void add(const Tally& t) {
     executions += t.executions;
     engine_failures += t.engine_failures;
     wrong_outputs += t.wrong_outputs;
-    verdict.merge({t.executions, t.engine_failures + t.wrong_outputs});
+  }
+  /// Every execution a trial; every engine failure or wrong output a failure.
+  [[nodiscard]] VerdictAccumulator verdict() const {
+    return {executions, engine_failures + wrong_outputs};
   }
   /// One execution judged `v`.
   [[nodiscard]] static Tally tally_of(FaultVerdict v) {
@@ -443,7 +410,7 @@ using FailureVisitor =
 /// (world, prefix) subtrees and tally it into per-task SweepTotals, which
 /// fold through SweepTotals::merge as soon as their world finishes (so
 /// peak memory stays one world's leaves plus the running total). Worlds
-/// run in ascending order; opts.threads fans each world's prefixes over the
+/// run in ascending order; opts.threads fans each world's subtrees over the
 /// pool; opts.max_executions bounds the whole call (BudgetExceededError,
 /// deterministically at any thread count). Each task memoizes converging
 /// states through judge_executions_under (one SweepMemo, so one probe, for

@@ -42,34 +42,7 @@ enum class ModelClass {
   return "?";
 }
 
-/// The containment order of Lemma 4: SIMASYNC ⊆ SIMSYNC ⊆ ASYNC ⊆ SYNC
-/// (a protocol of a smaller class is executable under any larger class's
-/// engine semantics). Returns true when `inner` protocols run unchanged under
-/// `outer` semantics.
-[[nodiscard]] constexpr bool model_contained_in(ModelClass inner,
-                                                ModelClass outer) noexcept {
-  auto rank = [](ModelClass m) {
-    switch (m) {
-      case ModelClass::kSimAsync: return 0;
-      case ModelClass::kSimSync: return 1;
-      case ModelClass::kAsync: return 2;
-      case ModelClass::kSync: return 3;
-    }
-    return 3;
-  };
-  return rank(inner) <= rank(outer);
-}
-
 /// Node lifecycle (§2): awake → active → terminated.
 enum class NodeState { kAwake, kActive, kTerminated };
-
-[[nodiscard]] constexpr std::string_view state_name(NodeState s) noexcept {
-  switch (s) {
-    case NodeState::kAwake: return "awake";
-    case NodeState::kActive: return "active";
-    case NodeState::kTerminated: return "terminated";
-  }
-  return "?";
-}
 
 }  // namespace wb

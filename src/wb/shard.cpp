@@ -1,8 +1,10 @@
 #include "src/wb/shard.h"
 
 #include <charconv>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "src/support/check.h"
@@ -22,7 +24,7 @@ void append_hex16(std::string& out, std::uint64_t v) {
 
 /// Strict line cursor over one serialized document. Every field accessor
 /// names the keyword it expects, so diagnostics read like
-/// "shard spec line 7: expected 'prefix ...', got 'prefxi 1 3'".
+/// "shard spec line 7: expected 'task ...', got 'tsak 0 1 3'".
 class LineParser {
  public:
   LineParser(const std::string& text, const char* what)
@@ -39,30 +41,6 @@ class LineParser {
                    what_ << " line " << line_no_ << ": expected '" << keyword
                          << " ...', got '" << line << "'");
     return line.substr(keyword.size() + 1);
-  }
-
-  /// If the next line starts with `keyword`, consume it and return its
-  /// payload; otherwise leave the cursor untouched and return nullopt. For
-  /// optional fields — the `faults` line that fault-free documents omit —
-  /// so pre-fault v2 files keep parsing unchanged.
-  std::optional<std::string> try_expect(const std::string& keyword) {
-    if (pos_ >= text_->size()) return std::nullopt;
-    const std::size_t nl = text_->find('\n', pos_);
-    if (nl == std::string::npos) return std::nullopt;
-    const std::string line = text_->substr(pos_, nl - pos_);
-    std::string payload;
-    if (line == keyword) {
-      payload = "";
-    } else if (line.size() > keyword.size() &&
-               line.compare(0, keyword.size(), keyword) == 0 &&
-               line[keyword.size()] == ' ') {
-      payload = line.substr(keyword.size() + 1);
-    } else {
-      return std::nullopt;
-    }
-    pos_ = nl + 1;
-    ++line_no_;
-    return payload;
   }
 
   void expect_end() {
@@ -211,15 +189,14 @@ void hash_bytes(Hasher128& h, const std::string& bytes) {
 }
 
 /// Fingerprint of everything shards of one plan agree on — the instance,
-/// budget, engine options, distinct-accumulator config, shard count, and
-/// the *complete* partition. Two partitions of the same instance (e.g.
-/// different tasks_per_shard), or an exact and an hll plan of the same
-/// instance, hash differently, so their shards can never be merged into
-/// wrong (or silently mixed exact/approximate) totals.
+/// budget, engine options, distinct-accumulator config, shard count, fault
+/// spec, and the *complete* partition. Two partitions of the same instance
+/// (e.g. different tasks_per_shard), an exact and an hll plan, or two fault
+/// specs of the same instance hash differently, so their shards can never be
+/// merged into wrong (or silently mixed exact/approximate) totals.
 Hash128 fingerprint_plan(const std::string& protocol_spec, const Graph& g,
                          const PlanOptions& opts, std::size_t shard_count,
-                         std::span<const PrefixTask> all_tasks,
-                         std::span<const FaultTask> all_fault_tasks) {
+                         std::span<const FaultTask> tasks) {
   Hasher128 h;
   hash_bytes(h, protocol_spec);
   h.update(g.node_count());
@@ -235,59 +212,65 @@ Hash128 fingerprint_plan(const std::string& protocol_spec, const Graph& g,
                ? static_cast<std::uint64_t>(opts.distinct.hll_precision)
                : 0);
   h.update(shard_count);
-  h.update(all_tasks.size());
-  for (const PrefixTask& t : all_tasks) {
-    h.update(t.depth);
-    for (const NodeId v : t.prefix()) h.update(v);
-  }
-  // Fault-model coverage: hashed only for faulty plans, so every fault-free
-  // fingerprint — including those already committed in golden artifacts —
-  // is unchanged. Mismatched fault specs (or the same spec with a different
-  // world partition) refuse to merge exactly like mismatched partitions.
-  if (opts.faults.kind != FaultKind::kNone) {
-    h.update(0x66756c74);  // domain tag: "fult"
-    h.update(static_cast<std::uint64_t>(opts.faults.kind));
-    h.update(opts.faults.crash_f);
-    h.update(opts.faults.prob_num);
-    h.update(opts.faults.prob_den);
-    h.update(opts.faults.seed);
-    h.update(opts.faults.trials);
-    h.update(all_fault_tasks.size());
-    for (const FaultTask& t : all_fault_tasks) {
-      h.update(t.world);
-      h.update(t.prefix.depth);
-      for (const NodeId v : t.prefix.prefix()) h.update(v);
-    }
+  hash_bytes(h, fault_spec_to_string(opts.faults));
+  h.update(tasks.size());
+  for (const FaultTask& t : tasks) {
+    h.update(t.world);
+    h.update(t.prefix.depth);
+    for (const NodeId v : t.prefix.prefix()) h.update(v);
   }
   return h.digest();
 }
 
-/// The `<depth> <node>...` tail of a `prefix`/`fprefix` line, from
-/// fields[first] on, with every node id in 1..n.
-PrefixTask parse_prefix_tail(const LineParser& lp,
-                             const std::vector<std::string>& fields,
-                             std::size_t first, std::uint64_t n) {
-  WB_REQUIRE_MSG(fields.size() > first,
+/// A `shard <index> <count>` payload: count in 1..kMaxShards, index below it.
+std::pair<std::uint32_t, std::uint32_t> parse_shard_coordinates(
+    const LineParser& lp, const std::string& payload) {
+  const auto fields = split_fields(payload);
+  WB_REQUIRE_MSG(fields.size() == 2,
+                 lp.what() << " line " << lp.line_no()
+                           << ": expected 'shard <index> <count>'");
+  const std::uint64_t index = parse_u64_field(lp, fields[0], "shard index");
+  const std::uint64_t count = parse_u64_field(lp, fields[1], "shard count");
+  WB_REQUIRE_MSG(count >= 1 && count <= kMaxShards && index < count,
+                 lp.what() << " line " << lp.line_no() << ": shard " << index
+                           << " of " << count << " is out of range (at most "
+                           << kMaxShards << " shards)");
+  return {static_cast<std::uint32_t>(index), static_cast<std::uint32_t>(count)};
+}
+
+/// A `task <world> <depth> <node>...` line: world below `worlds`, every node
+/// id in 1..n.
+FaultTask parse_task(const LineParser& lp, const std::string& payload,
+                     std::uint64_t n, std::uint64_t worlds) {
+  const auto fields = split_fields(payload);
+  WB_REQUIRE_MSG(fields.size() >= 2,
                  "shard spec line " << lp.line_no()
-                                    << ": expected a prefix depth");
-  PrefixTask task;
-  task.depth = static_cast<std::size_t>(
-      parse_u64_field(lp, fields[first], "prefix depth"));
-  WB_REQUIRE_MSG(task.depth <= task.decision.size(),
+                                    << ": expected 'task <world> <depth> "
+                                       "<node>...'");
+  FaultTask task;
+  task.world = parse_u64_field(lp, fields[0], "fault world");
+  WB_REQUIRE_MSG(task.world < worlds,
+                 "shard spec line " << lp.line_no() << ": fault world "
+                                    << task.world << " out of range 0.."
+                                    << worlds - 1);
+  PrefixTask& prefix = task.prefix;
+  prefix.depth = static_cast<std::size_t>(
+      parse_u64_field(lp, fields[1], "prefix depth"));
+  WB_REQUIRE_MSG(prefix.depth <= prefix.decision.size(),
                  "shard spec line " << lp.line_no() << ": prefix depth "
-                                    << task.depth << " exceeds the maximum "
-                                    << task.decision.size());
-  WB_REQUIRE_MSG(fields.size() == first + 1 + task.depth,
+                                    << prefix.depth << " exceeds the maximum "
+                                    << prefix.decision.size());
+  WB_REQUIRE_MSG(fields.size() == 2 + prefix.depth,
                  "shard spec line "
-                     << lp.line_no() << ": prefix of depth " << task.depth
-                     << " must carry exactly " << task.depth << " node ids");
-  for (std::size_t d = 0; d < task.depth; ++d) {
+                     << lp.line_no() << ": prefix of depth " << prefix.depth
+                     << " must carry exactly " << prefix.depth << " node ids");
+  for (std::size_t d = 0; d < prefix.depth; ++d) {
     const std::uint64_t v =
-        parse_u64_field(lp, fields[first + 1 + d], "prefix node");
+        parse_u64_field(lp, fields[2 + d], "prefix node");
     WB_REQUIRE_MSG(v >= 1 && v <= n, "shard spec line "
                                          << lp.line_no() << ": prefix node "
                                          << v << " out of range 1.." << n);
-    task.decision[d] = static_cast<NodeId>(v);
+    prefix.decision[d] = static_cast<NodeId>(v);
   }
   return task;
 }
@@ -376,25 +359,20 @@ std::vector<ShardSpec> plan_shards(const Graph& g, const Protocol& p,
                                    const std::string& protocol_spec,
                                    std::size_t shard_count,
                                    const PlanOptions& opts) {
-  WB_REQUIRE_MSG(shard_count >= 1, "shard count must be at least 1");
-  WB_REQUIRE_MSG(shard_count <= 1u << 20,
-                 "shard count " << shard_count << " is not a serious plan");
-  const std::size_t target =
-      shard_count * std::max<std::size_t>(1, opts.tasks_per_shard);
-  std::vector<PrefixTask> tasks;
-  std::vector<FaultTask> fault_tasks;
-  if (opts.faults.kind == FaultKind::kNone) {
-    tasks = partition_executions(g, p, opts.engine, target);
-  } else if (opts.faults.kind != FaultKind::kAdaptive) {
-    // Crash/corruption sweeps partition (fault world × prefix) pairs; the
-    // world enumeration folds into the same round-robin distribution.
-    fault_tasks = partition_fault_tasks(g, p, opts.faults, opts.engine, target);
-  }
+  WB_REQUIRE_MSG(shard_count >= 1 && shard_count <= kMaxShards,
+                 "shard count " << shard_count << " is out of range 1.."
+                                << kMaxShards);
   // Adaptive plans carry no partition: shard k of K runs trial indices
   // k, k+K, k+2K, ... — the stride split run_shard derives from the shard
   // coordinates, which merges to exactly the single-stream trial set.
-  const Hash128 plan = fingerprint_plan(protocol_spec, g, opts, shard_count,
-                                        tasks, fault_tasks);
+  const std::vector<FaultTask> tasks =
+      opts.faults.kind == FaultKind::kAdaptive
+          ? std::vector<FaultTask>{}
+          : partition_fault_tasks(
+                g, p, opts.faults, opts.engine,
+                shard_count * std::max<std::size_t>(1, opts.tasks_per_shard));
+  const Hash128 plan =
+      fingerprint_plan(protocol_spec, g, opts, shard_count, tasks);
   std::vector<ShardSpec> specs(shard_count);
   for (std::size_t k = 0; k < shard_count; ++k) {
     specs[k].protocol_spec = protocol_spec;
@@ -408,10 +386,7 @@ std::vector<ShardSpec> plan_shards(const Graph& g, const Protocol& p,
     specs[k].faults = opts.faults;
   }
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    specs[t % shard_count].prefixes.push_back(tasks[t]);
-  }
-  for (std::size_t t = 0; t < fault_tasks.size(); ++t) {
-    specs[t % shard_count].fault_tasks.push_back(fault_tasks[t]);
+    specs[t % shard_count].tasks.push_back(tasks[t]);
   }
   return specs;
 }
@@ -428,7 +403,6 @@ ShardManifest make_manifest(std::span<const ShardSpec> specs) {
   manifest.shard_count = first.shard_count;
   manifest.max_executions = first.max_executions;
   manifest.distinct = first.distinct;
-  manifest.faults = first.faults;
   manifest.spec_hashes.reserve(specs.size());
   for (std::size_t k = 0; k < specs.size(); ++k) {
     WB_REQUIRE_MSG(specs[k].plan == first.plan,
@@ -451,9 +425,7 @@ std::string serialize(const ShardSpec& spec) {
     os << "edge " << e.u << " " << e.v << "\n";
   }
   os << "max-executions " << spec.max_executions << "\n";
-  if (spec.faults.kind != FaultKind::kNone) {
-    os << "faults " << fault_spec_to_string(spec.faults) << "\n";
-  }
+  os << "faults " << fault_spec_to_string(spec.faults) << "\n";
   os << "engine " << spec.engine.max_rounds << " "
      << (spec.engine.record_trace ? 1 : 0) << "\n";
   os << "distinct " << to_string(spec.distinct) << "\n";
@@ -461,20 +433,11 @@ std::string serialize(const ShardSpec& spec) {
   append_hash_line(plan_line, "plan", spec.plan);
   os << plan_line;
   os << "shard " << spec.shard_index << " " << spec.shard_count << "\n";
-  os << "prefixes " << spec.prefixes.size() << "\n";
-  for (const PrefixTask& t : spec.prefixes) {
-    os << "prefix " << t.depth;
-    for (const NodeId v : t.prefix()) os << " " << v;
+  os << "tasks " << spec.tasks.size() << "\n";
+  for (const FaultTask& t : spec.tasks) {
+    os << "task " << t.world << " " << t.prefix.depth;
+    for (const NodeId v : t.prefix.prefix()) os << " " << v;
     os << "\n";
-  }
-  if (spec.faults.kind == FaultKind::kCrash ||
-      spec.faults.kind == FaultKind::kCorrupt) {
-    os << "fprefixes " << spec.fault_tasks.size() << "\n";
-    for (const FaultTask& t : spec.fault_tasks) {
-      os << "fprefix " << t.world << " " << t.prefix.depth;
-      for (const NodeId v : t.prefix.prefix()) os << " " << v;
-      os << "\n";
-    }
   }
   os << "end\n";
   return os.str();
@@ -495,6 +458,9 @@ ShardSpec parse_shard_spec(const std::string& text) {
                                     << ": expected 'graph <n> <m>'");
   const std::uint64_t n = parse_u64_field(lp, graph_fields[0], "node count");
   const std::uint64_t m = parse_u64_field(lp, graph_fields[1], "edge count");
+  WB_REQUIRE_MSG(n <= std::numeric_limits<NodeId>::max(),
+                 "shard spec line " << lp.line_no() << ": node count " << n
+                                    << " exceeds the node id range");
   std::vector<Edge> edges;
   edges.reserve(clamped_reserve(m, text));
   for (std::uint64_t i = 0; i < m; ++i) {
@@ -507,17 +473,19 @@ ShardSpec parse_shard_spec(const std::string& text) {
     WB_REQUIRE_MSG(u >= 1 && v >= 1 && u <= n && v <= n && u != v,
                    "shard spec line " << lp.line_no() << ": bad edge {" << u
                                       << "," << v << "} on " << n << " nodes");
-    edges.push_back(make_edge(static_cast<NodeId>(u), static_cast<NodeId>(v)));
+    const Edge e = make_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
+    // The serializer writes the graph's sorted edge list, so a repeated or
+    // out-of-order edge is a corrupted document.
+    WB_REQUIRE_MSG(edges.empty() || edges.back() < e,
+                   "shard spec line " << lp.line_no()
+                                      << ": edges must be strictly increasing");
+    edges.push_back(e);
   }
   spec.graph = Graph(static_cast<std::size_t>(n), edges);
 
   spec.max_executions =
       parse_u64_field(lp, lp.expect("max-executions"), "max-executions");
-
-  // Optional: documents without a `faults` line are fault-free.
-  if (const auto payload = lp.try_expect("faults")) {
-    spec.faults = parse_fault_field(lp, *payload);
-  }
+  spec.faults = parse_fault_field(lp, lp.expect("faults"));
 
   const auto engine_fields = split_fields(lp.expect("engine"));
   WB_REQUIRE_MSG(engine_fields.size() == 2,
@@ -537,56 +505,30 @@ ShardSpec parse_shard_spec(const std::string& text) {
 
   spec.plan = parse_hash_line(lp, "plan", "plan hash");
 
-  const auto shard_fields = split_fields(lp.expect("shard"));
-  WB_REQUIRE_MSG(shard_fields.size() == 2,
-                 "shard spec line " << lp.line_no()
-                                    << ": expected 'shard <index> <count>'");
-  spec.shard_index = static_cast<std::uint32_t>(
-      parse_u64_field(lp, shard_fields[0], "shard index"));
-  spec.shard_count = static_cast<std::uint32_t>(
-      parse_u64_field(lp, shard_fields[1], "shard count"));
-  WB_REQUIRE_MSG(spec.shard_count >= 1 && spec.shard_index < spec.shard_count,
-                 "shard spec line " << lp.line_no() << ": shard "
-                                    << spec.shard_index << " of "
-                                    << spec.shard_count << " is out of range");
+  std::tie(spec.shard_index, spec.shard_count) =
+      parse_shard_coordinates(lp, lp.expect("shard"));
 
-  const std::uint64_t prefix_count =
-      parse_u64_field(lp, lp.expect("prefixes"), "prefix count");
-  spec.prefixes.reserve(clamped_reserve(prefix_count, text));
-  for (std::uint64_t i = 0; i < prefix_count; ++i) {
-    spec.prefixes.push_back(
-        parse_prefix_tail(lp, split_fields(lp.expect("prefix")), 0, n));
+  // Adaptive specs sample trials and carry no tasks; every other kind's
+  // tasks name one of its exhaustive fault worlds.
+  std::uint64_t worlds = 0;
+  if (spec.faults.kind == FaultKind::kCrash) {
+    try {
+      worlds = crash_world_count(spec.graph.node_count(), spec.faults.crash_f);
+    } catch (const std::exception& e) {
+      WB_REQUIRE_MSG(false, "shard spec line " << lp.line_no() << ": "
+                                               << e.what());
+    }
+  } else if (spec.faults.kind != FaultKind::kAdaptive) {
+    worlds = 1;
   }
-
-  // Crash/corruption specs carry their (world × prefix) partition; the
-  // `fprefixes` section is rejected for every other fault kind (expect_end
-  // below refuses it), and required for these two.
-  if (spec.faults.kind == FaultKind::kCrash ||
-      spec.faults.kind == FaultKind::kCorrupt) {
-    std::uint64_t worlds = 1;
-    if (spec.faults.kind == FaultKind::kCrash) {
-      try {
-        worlds = crash_world_count(spec.graph.node_count(),
-                                   spec.faults.crash_f);
-      } catch (const std::exception& e) {
-        WB_REQUIRE_MSG(false, "shard spec line " << lp.line_no() << ": "
-                                                 << e.what());
-      }
-    }
-    const std::uint64_t fcount =
-        parse_u64_field(lp, lp.expect("fprefixes"), "fault prefix count");
-    spec.fault_tasks.reserve(clamped_reserve(fcount, text));
-    for (std::uint64_t i = 0; i < fcount; ++i) {
-      const auto pf = split_fields(lp.expect("fprefix"));
-      FaultTask task;
-      task.world = parse_u64_field(lp, pf[0], "fault world");
-      WB_REQUIRE_MSG(task.world < worlds,
-                     "shard spec line " << lp.line_no() << ": fault world "
-                                        << task.world << " out of range 0.."
-                                        << worlds - 1);
-      task.prefix = parse_prefix_tail(lp, pf, 1, n);
-      spec.fault_tasks.push_back(task);
-    }
+  const std::uint64_t task_count =
+      parse_u64_field(lp, lp.expect("tasks"), "task count");
+  WB_REQUIRE_MSG(worlds > 0 || task_count == 0,
+                 "shard spec line " << lp.line_no()
+                                    << ": adaptive specs carry no tasks");
+  spec.tasks.reserve(clamped_reserve(task_count, text));
+  for (std::uint64_t i = 0; i < task_count; ++i) {
+    spec.tasks.push_back(parse_task(lp, lp.expect("task"), n, worlds));
   }
   lp.expect_end();
   return spec;
@@ -598,18 +540,12 @@ std::string serialize(const ShardResult& result) {
   out += "shard " + std::to_string(result.shard_index) + " " +
          std::to_string(result.shard_count) + "\n";
   out += "max-executions " + std::to_string(result.max_executions) + "\n";
-  if (result.faults.kind != FaultKind::kNone) {
-    out += "faults " + fault_spec_to_string(result.faults) + "\n";
-  }
+  out += "faults " + fault_spec_to_string(result.faults) + "\n";
   out += "executions " + std::to_string(result.executions) + "\n";
   out += "engine-failures " + std::to_string(result.engine_failures) + "\n";
   out += "wrong-outputs " + std::to_string(result.wrong_outputs) + "\n";
   out += std::string("budget-exceeded ") +
          (result.budget_exceeded ? "1" : "0") + "\n";
-  if (result.faults.kind == FaultKind::kAdaptive) {
-    out += "verdict " + std::to_string(result.verdict_trials) + " " +
-           std::to_string(result.verdict_failures) + "\n";
-  }
   out += "distinct-kind " + to_string(result.distinct) + "\n";
   if (result.distinct.kind == DistinctKind::kExact) {
     out += "distinct " + std::to_string(result.board_hashes.size()) + "\n";
@@ -634,27 +570,13 @@ ShardResult parse_shard_result(const std::string& text) {
 
   result.plan = parse_hash_line(lp, "plan", "plan hash");
 
-  const auto shard_fields = split_fields(lp.expect("shard"));
-  WB_REQUIRE_MSG(shard_fields.size() == 2,
-                 "shard result line " << lp.line_no()
-                                      << ": expected 'shard <index> <count>'");
-  result.shard_index = static_cast<std::uint32_t>(
-      parse_u64_field(lp, shard_fields[0], "shard index"));
-  result.shard_count = static_cast<std::uint32_t>(
-      parse_u64_field(lp, shard_fields[1], "shard count"));
-  WB_REQUIRE_MSG(
-      result.shard_count >= 1 && result.shard_index < result.shard_count,
-      "shard result line " << lp.line_no() << ": shard " << result.shard_index
-                           << " of " << result.shard_count
-                           << " is out of range");
+  std::tie(result.shard_index, result.shard_count) =
+      parse_shard_coordinates(lp, lp.expect("shard"));
 
   result.max_executions =
       parse_u64_field(lp, lp.expect("max-executions"), "max-executions");
 
-  // Optional: documents without a `faults` line are fault-free.
-  if (const auto payload = lp.try_expect("faults")) {
-    result.faults = parse_fault_field(lp, *payload);
-  }
+  result.faults = parse_fault_field(lp, lp.expect("faults"));
 
   result.executions =
       parse_u64_field(lp, lp.expect("executions"), "executions");
@@ -676,24 +598,6 @@ ShardResult parse_shard_result(const std::string& text) {
                                     << lp.line_no()
                                     << ": budget-exceeded must be 0 or 1");
   result.budget_exceeded = exceeded == 1;
-
-  // Adaptive results must carry their statistical verdict; every other
-  // fault kind must not (a stray `verdict` line fails the distinct-kind
-  // expectation below).
-  if (result.faults.kind == FaultKind::kAdaptive) {
-    const auto vf = split_fields(lp.expect("verdict"));
-    WB_REQUIRE_MSG(vf.size() == 2,
-                   "shard result line "
-                       << lp.line_no()
-                       << ": expected 'verdict <trials> <failures>'");
-    result.verdict_trials = parse_u64_field(lp, vf[0], "verdict trials");
-    result.verdict_failures = parse_u64_field(lp, vf[1], "verdict failures");
-    WB_REQUIRE_MSG(result.verdict_failures <= result.verdict_trials,
-                   "shard result line " << lp.line_no() << ": "
-                                        << result.verdict_failures
-                                        << " failures out of "
-                                        << result.verdict_trials << " trials");
-  }
 
   result.distinct = parse_distinct_field(lp, lp.expect("distinct-kind"));
 
@@ -727,9 +631,6 @@ std::string serialize(const ShardManifest& manifest) {
   out += "shards " + std::to_string(manifest.shard_count) + "\n";
   out += "max-executions " + std::to_string(manifest.max_executions) + "\n";
   out += "distinct " + to_string(manifest.distinct) + "\n";
-  if (manifest.faults.kind != FaultKind::kNone) {
-    out += "faults " + fault_spec_to_string(manifest.faults) + "\n";
-  }
   for (const Hash128& h : manifest.spec_hashes) {
     append_hash_line(out, "spec", h);
   }
@@ -742,17 +643,16 @@ ShardManifest parse_shard_manifest(const std::string& text) {
   require_version_line(lp, "wbshard-manifest");
   ShardManifest manifest;
   manifest.plan = parse_hash_line(lp, "plan", "plan hash");
-  manifest.shard_count = static_cast<std::uint32_t>(
-      parse_u64_field(lp, lp.expect("shards"), "shard count"));
-  WB_REQUIRE_MSG(manifest.shard_count >= 1,
-                 "shard manifest line " << lp.line_no()
-                                        << ": shard count must be at least 1");
+  const std::uint64_t shards =
+      parse_u64_field(lp, lp.expect("shards"), "shard count");
+  WB_REQUIRE_MSG(shards >= 1 && shards <= kMaxShards,
+                 "shard manifest line " << lp.line_no() << ": shard count "
+                                        << shards << " is out of range 1.."
+                                        << kMaxShards);
+  manifest.shard_count = static_cast<std::uint32_t>(shards);
   manifest.max_executions =
       parse_u64_field(lp, lp.expect("max-executions"), "max-executions");
   manifest.distinct = parse_distinct_field(lp, lp.expect("distinct"));
-  if (const auto payload = lp.try_expect("faults")) {
-    manifest.faults = parse_fault_field(lp, *payload);
-  }
   manifest.spec_hashes.reserve(
       clamped_reserve(manifest.shard_count, text));
   for (std::uint32_t k = 0; k < manifest.shard_count; ++k) {
@@ -787,19 +687,13 @@ ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
       sopts.engine = spec.engine;
       totals =
           run_statistical_verdict(spec.graph, p, spec.faults, classify, sopts);
-      out.verdict_trials = totals.verdict.trials();
-      out.verdict_failures = totals.verdict.failures();
     } else {
       ExhaustiveOptions opts;
       opts.max_executions = spec.max_executions;
       opts.threads = threads;
       opts.distinct = spec.distinct;
       opts.engine = spec.engine;
-      std::vector<FaultTask> tasks = spec.fault_tasks;
-      if (spec.faults.kind == FaultKind::kNone) {
-        for (const PrefixTask& t : spec.prefixes) tasks.push_back({0, t});
-      }
-      totals = sweep(spec.graph, p, spec.faults, tasks, classify, opts);
+      totals = sweep(spec.graph, p, spec.faults, spec.tasks, classify, opts);
     }
   } catch (const BudgetExceededError&) {
     // Exactly max_executions visits completed before the guard fired; which
@@ -867,7 +761,6 @@ MergedResult merge_shard_results(std::span<const ShardResult> results) {
     part.executions = r.executions;
     part.engine_failures = r.engine_failures;
     part.wrong_outputs = r.wrong_outputs;
-    part.verdict = VerdictAccumulator(r.verdict_trials, r.verdict_failures);
     if (first.distinct.kind == DistinctKind::kExact) {
       part.distinct = std::make_unique<ExactDistinctAccumulator>(
           ExactDistinctAccumulator::from_sorted(r.board_hashes));
@@ -898,8 +791,6 @@ MergedResult merge_shard_results(std::span<const ShardResult> results) {
   merged.distinct_boards = totals.distinct->estimate();
   merged.distinct = first.distinct;
   merged.faults = first.faults;
-  merged.verdict_trials = totals.verdict.trials();
-  merged.verdict_failures = totals.verdict.failures();
   return merged;
 }
 

@@ -1,15 +1,15 @@
 // Distributed sharding for the exhaustive explorer.
 //
-// The PR 3 subtree-prefix partition (src/wb/exhaustive.h) is shard-friendly:
-// the top of the schedule tree is split into PrefixTask subtrees whose
-// leaves tile the full execution set exactly once, and every aggregate the
-// sweep produces (visit count, failure tallies, distinct-board accumulators)
-// merges order-obliviously. This layer serializes that partition so the
-// subtrees can be swept by different *processes* — on one machine or a
-// fleet — and merged back into totals bit-identical to the single-process
-// `threads=1` oracle:
+// The subtree-prefix partition (src/wb/faults.h) is shard-friendly: the top
+// of every fault world's schedule tree is split into (world, prefix)
+// FaultTask subtrees whose leaves tile the full execution set exactly once,
+// and every aggregate the sweep produces (visit count, failure tallies,
+// distinct-board accumulators) merges order-obliviously. This layer
+// serializes that partition so the subtrees can be swept by different
+// *processes* — on one machine or a fleet — and merged back into totals
+// bit-identical to the single-process `threads=1` oracle:
 //
-//   plan:  partition_executions → K ShardSpec files (round-robin tasks)
+//   plan:  partition_fault_tasks → K ShardSpec files (round-robin tasks)
 //          + one ShardManifest (plan fingerprint + per-spec document hashes,
 //          so a fleet controller can track completion and re-issue lost
 //          shards)
@@ -17,22 +17,22 @@
 //          parallel inside)
 //   merge: K ShardResult files → MergedResult == the serial sweep's totals
 //
-// File formats are versioned, self-describing text ("wbshard-spec v2" /
-// "wbshard-result v2" / "wbshard-manifest v2"). Parsers reject malformed,
-// truncated, or version-skewed input (v1 included) with a wb::DataError
-// diagnostic, never undefined behavior, and serialize→parse→serialize is
-// byte-identical (tests/wb/shard_test.cpp pins golden files under
-// tests/wb/data/).
+// File formats are versioned, self-describing text ("wbshard-spec v3" /
+// "wbshard-result v3" / "wbshard-manifest v3") in which every field is
+// always present. Parsers reject malformed, truncated, or version-skewed
+// input (every older version included) with a wb::DataError diagnostic,
+// never undefined behavior, and serialize→parse→serialize is byte-identical
+// (tests/wb/shard_test.cpp pins golden files under tests/wb/data/).
 //
 // Running and merging go through the one sweep (src/wb/faults.h): a shard
-// is wb::sweep over its spec's tasks (fault-free prefixes are world-0
-// tasks) or a stride of run_statistical_verdict, and the merge folds one
-// SweepTotals per result with SweepTotals::merge — so shard tallies add
-// with the same overflow checks as every other sweep.
+// is wb::sweep over its spec's tasks or a stride of run_statistical_verdict,
+// and the merge folds one SweepTotals per result with SweepTotals::merge —
+// so shard tallies add with the same overflow checks as every other sweep,
+// and a statistical verdict is read off the merged counts.
 //
 // Determinism contract (the reason merge order and shard→host assignment
 // never matter):
-//  - the prefix list is recorded in the specs, so equivalence never depends
+//  - the task list is recorded in the specs, so equivalence never depends
 //    on re-running the partition;
 //  - counts are sums over disjoint subtree sets; distinct boards go through
 //    a DistinctAccumulator (src/wb/distinct.h) whose merge — sorted-run set
@@ -44,12 +44,12 @@
 //    when the combined count exceeds the budget, i.e. exactly when the
 //    serial oracle would have thrown;
 //  - results carry a fingerprint of (protocol, graph, budget, engine
-//    options, distinct-accumulator config, shard count, full partition), so
-//    merging results from different plans — including two different
-//    partitions of the same instance, or an exact and an hll plan of the
-//    same instance — is rejected loudly; the merge additionally checks the
-//    accumulator kind field itself, so even hand-edited artifacts cannot
-//    mix an estimate into an exact count.
+//    options, distinct-accumulator config, shard count, fault spec, full
+//    partition), so merging results from different plans — including two
+//    different partitions of the same instance, or an exact and an hll
+//    plan of the same instance — is rejected loudly; the merge additionally
+//    checks the accumulator kind field itself, so even hand-edited
+//    artifacts cannot mix an estimate into an exact count.
 #pragma once
 
 #include <cstdint>
@@ -68,17 +68,18 @@
 namespace wb::shard {
 
 /// Bumped on any change to the text formats below; parsers read exactly
-/// this version. v2 added the distinct accumulator field (spec + result),
-/// the hll register block, and the manifest format. The failure-model
-/// fields (`faults`, `fprefix`, `verdict`) are *optional* v2
-/// lines: fault-free documents serialize without them byte-for-byte as
-/// before, and v2 documents without a fault field parse as fault-free.
-inline constexpr int kFormatVersion = 2;
+/// this version. v3: one `task <world> <depth> <ids>` list, an always-present
+/// `faults` line, no result `verdict` line, no manifest `faults` line.
+inline constexpr int kFormatVersion = 3;
+
+/// Largest shard count a plan may have — enforced by plan_shards and by
+/// every parser that reads a shard count.
+inline constexpr std::uint32_t kMaxShards = 1u << 20;
 
 /// One shard of a planned exhaustive sweep: the instance (graph + opaque
 /// protocol spec string + budget + engine options + distinct-accumulator
-/// config), which shard of how many this is, and the exact subtree prefixes
-/// this shard must sweep.
+/// config + failure model), which shard of how many this is, and the exact
+/// subtrees this shard must sweep.
 struct ShardSpec {
   /// Protocol factory string (src/cli/spec.h grammar). Opaque at this layer:
   /// carried, serialized, and fingerprinted, never parsed here.
@@ -99,16 +100,14 @@ struct ShardSpec {
   Hash128 plan{};
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
-  std::vector<PrefixTask> prefixes;
-  /// Failure model every shard of this plan runs under (default: fault-free,
-  /// which serializes without a `faults` line — fault-free documents are
-  /// byte-identical to pre-fault v2 files). Covered by the plan fingerprint,
-  /// so artifacts swept under different fault specs refuse to merge.
+  /// Failure model every shard of this plan runs under. Covered by the plan
+  /// fingerprint, so artifacts swept under different fault specs refuse to
+  /// merge.
   FaultSpec faults{};
-  /// Crash/corruption plans partition (world × prefix) pairs instead of bare
-  /// prefixes; `prefixes` stays empty for them. Adaptive plans carry neither
-  /// — trials are split by index stride across shards.
-  std::vector<FaultTask> fault_tasks;
+  /// The (fault world, prefix) subtrees this shard sweeps; every task of a
+  /// fault-free or corruption plan is world 0. Adaptive plans carry none —
+  /// trials are split by index stride across shards.
+  std::vector<FaultTask> tasks;
 };
 
 /// What one shard's sweep produced. All fields are bit-identical for any
@@ -137,14 +136,10 @@ struct ShardResult {
   std::vector<Hash128> board_hashes;  // exact mode: sorted, unique
   std::optional<HyperLogLog> hll;     // hll mode: the shard's sketch
   /// Failure model the shard ran under (copied from the spec; merge refuses
-  /// fault-spec mismatches). Fault-free results serialize without it.
+  /// fault-spec mismatches). Adaptive shards count sampled trials in
+  /// `executions`: shards split the trial index space by stride, so the
+  /// union over shards is exactly the single-stream trial set.
   FaultSpec faults{};
-  /// Statistical verdict tally — populated (and serialized as a `verdict`
-  /// line) iff faults.kind == kAdaptive. Merges by summation: shards split
-  /// the trial index space by stride, so the union over shards is exactly
-  /// the single-stream trial set.
-  std::uint64_t verdict_trials = 0;
-  std::uint64_t verdict_failures = 0;
 };
 
 /// The merged totals of a complete result set — field-for-field what the
@@ -157,20 +152,17 @@ struct MergedResult {
   std::uint64_t wrong_outputs = 0;
   std::uint64_t distinct_boards = 0;
   DistinctConfig distinct{};
-  /// Failure model of the plan, and (for adaptive plans) the summed
-  /// statistical verdict — feed into a VerdictAccumulator for the rate and
-  /// Wilson interval, bit-identical to the single-stream sweep.
+  /// Failure model of the plan. For adaptive plans the counts above are
+  /// sampled trials, bit-identical to the single-stream statistical sweep.
   FaultSpec faults{};
-  std::uint64_t verdict_trials = 0;
-  std::uint64_t verdict_failures = 0;
 };
 
 struct PlanOptions {
   std::uint64_t max_executions = 2'000'000;
-  /// Partition granularity: aim for at least this many prefix tasks per
-  /// shard, so in-worker ThreadPool sweeps load-balance. The resulting
-  /// prefixes are recorded verbatim in the specs — merge equivalence never
-  /// depends on reproducing the partition.
+  /// Partition granularity: aim for at least this many tasks per shard, so
+  /// in-worker ThreadPool sweeps load-balance. The resulting tasks are
+  /// recorded verbatim in the specs — merge equivalence never depends on
+  /// reproducing the partition.
   std::size_t tasks_per_shard = 4;
   /// Distinct-board accumulator for the whole plan (fingerprinted, so
   /// exact and hll artifacts of one instance can never cross-merge).
@@ -182,11 +174,11 @@ struct PlanOptions {
   FaultSpec faults{};
 };
 
-/// Partition the schedule tree of (g, p) and distribute the prefix tasks
-/// round-robin over `shard_count` specs, each stamped with the plan
-/// fingerprint. Deterministic: depends only on (g, p, shard_count, opts).
-/// Shards may receive no tasks (more shards than subtrees); their sweeps
-/// report zero executions and merge harmlessly.
+/// Partition the fault worlds' schedule trees of (g, p) and distribute the
+/// tasks round-robin over `shard_count` (1..kMaxShards) specs, each stamped
+/// with the plan fingerprint. Deterministic: depends only on (g, p,
+/// shard_count, opts). Shards may receive no tasks (more shards than
+/// subtrees); their sweeps report zero executions and merge harmlessly.
 [[nodiscard]] std::vector<ShardSpec> plan_shards(const Graph& g,
                                                  const Protocol& p,
                                                  const std::string& protocol_spec,
@@ -203,8 +195,6 @@ struct ShardManifest {
   std::uint32_t shard_count = 1;
   std::uint64_t max_executions = 0;
   DistinctConfig distinct{};
-  /// Failure model of the plan (fault-free manifests serialize without it).
-  FaultSpec faults{};
   std::vector<Hash128> spec_hashes;  // hash_document of each serialized spec
 };
 
@@ -231,10 +221,9 @@ struct ShardManifest {
 [[nodiscard]] ShardResult parse_shard_result(const std::string& text);
 [[nodiscard]] ShardManifest parse_shard_manifest(const std::string& text);
 
-/// Sweep one shard: the executions under spec.prefixes (fault-free) or
-/// spec.fault_tasks (crash/corruption) through wb::sweep, or — adaptive
-/// specs — this shard's stride of the trial index space through
-/// run_statistical_verdict, with the verdict tally recorded. Runs with
+/// Sweep one shard: the executions under spec.tasks through wb::sweep, or —
+/// adaptive specs — this shard's stride of the trial index space through
+/// run_statistical_verdict. Runs with
 /// spec.engine, fanned out over the shared ThreadPool (`threads` as in
 /// ExhaustiveOptions: 0 = one worker per hardware thread, 1 = serial). `p`
 /// must be the protocol spec.protocol_spec denotes (the CLI layer

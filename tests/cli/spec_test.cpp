@@ -4,7 +4,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
+#include "src/cli/runners.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
@@ -25,6 +27,28 @@ TEST(ParseU64, AcceptsNumbersRejectsJunk) {
   EXPECT_THROW((void)parse_u64("", "n"), DataError);
   EXPECT_THROW((void)parse_u64("4x", "n"), DataError);
   EXPECT_THROW((void)parse_u64("-3", "n"), DataError);
+}
+
+/// `parse` must throw a DataError whose message names `field`.
+void expect_refusal_naming(const std::function<void()>& parse,
+                           const std::string& field) {
+  try {
+    parse();
+    ADD_FAILURE() << "accepted a value past the " << field << " range";
+  } catch (const DataError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ParseU64, NarrowedFieldsRefuseValuesPastTheirType) {
+  EXPECT_EQ(parse_u64_at_most("100", "percent", 100), 100u);
+  EXPECT_EQ(parse_int("2147483647", "K"), 2147483647);
+  expect_refusal_naming([] { (void)parse_u64_at_most("101", "percent", 100); },
+                        "percent");
+  // 2^31 and 2^32 + 2 would wrap to a negative or a small int.
+  expect_refusal_naming([] { (void)parse_int("2147483648", "K"); }, "K");
+  expect_refusal_naming([] { (void)parse_int("4294967298", "K"); }, "K");
 }
 
 TEST(ParseProb, FractionsValidated) {
@@ -282,6 +306,36 @@ TEST(GraphSpec, Errors) {
   EXPECT_THROW((void)graph_from_spec("path"), DataError);
   EXPECT_THROW((void)graph_from_spec("grid:3"), DataError);
   EXPECT_THROW((void)graph_from_spec("gnp:10:0.5:1"), DataError);
+}
+
+TEST(GraphSpec, NarrowedParametersAreRangeChecked) {
+  // Each value used to wrap: rmat:2^32+4 built scale 4, and so on.
+  expect_refusal_naming([] { (void)graph_from_spec("rmat:4294967300:2:1"); },
+                        "scale");
+  expect_refusal_naming(
+      [] { (void)graph_from_spec("kdeg:20:4294967298:20:3"); }, "K");
+  expect_refusal_naming(
+      [] { (void)graph_from_spec("kdeg:20:2:4294967316:3"); }, "percent");
+  expect_refusal_naming([] { (void)graph_from_spec("kdeg:20:2:101:3"); },
+                        "percent");
+  expect_refusal_naming(
+      [] { (void)graph_from_spec("forest:20:4294967376:3"); }, "percent");
+  expect_refusal_naming([] { (void)graph_from_spec("forest:20:101:3"); },
+                        "percent");
+}
+
+TEST(ProtocolSpec, NarrowedParametersAreRangeChecked) {
+  const Graph g = path_graph(4);
+  const auto run = [&g](const std::string& protocol) {
+    const auto adversary = adversary_from_spec("first", g);
+    (void)run_protocol_spec(protocol, g, *adversary);
+  };
+  // build-degenerate:2^32+2 used to run as k = 2.
+  expect_refusal_naming([&] { run("build-degenerate:4294967298"); }, "K");
+  // mis:2^32+1 used to pass the range check as root 1.
+  expect_refusal_naming([&] { run("mis:4294967297"); }, "root");
+  expect_refusal_naming([&] { run("broken-first:4294967297"); }, "V");
+  expect_refusal_naming([&] { run("diameter-oracle:4294967299"); }, "D");
 }
 
 TEST(GraphSpec, ScaleFamilies) {

@@ -6,16 +6,17 @@
 // adapter (crash:0, corrupt:0) must reproduce the unadapted serial explorer's
 // execution count, failure tallies, and distinct-board count bit-identically
 // at any thread count and any shard split. The statistical half pins the
-// VerdictAccumulator contract (order-oblivious merge == single stream, the
-// distinct_test.cpp battery shape) and checks fixtures with analytically
+// verdict contract (SweepTotals::merge is order-oblivious and its verdict()
+// equals the single stream's, the distinct_test.cpp battery shape) and
+// checks fixtures with analytically
 // known failure probabilities — including the Konrad–Robinson–Zamaraev
 // robust-triangle instance, whose 1 - q^3 miss rate the sampled verdict must
 // bracket with its Wilson interval.
 //
 // Shard documents with fault fields are pinned by goldens under
 // tests/wb/data/ (faults_crash.*, faults_adaptive.*); every bad_faults_* /
-// bad_fprefix_* / *verdict* fixture must be rejected with a wb::DataError
-// diagnostic, never undefined behavior.
+// bad_task_* fixture must be rejected with a wb::DataError diagnostic, never
+// undefined behavior.
 #include "src/wb/faults.h"
 
 #include <gtest/gtest.h>
@@ -444,10 +445,18 @@ TEST(FaultLocality, ClaimedSweepsEqualUnclaimedSweepsUnderCrashAndCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// VerdictAccumulator contract battery (the distinct_test.cpp shape).
+// Verdict contract battery (the distinct_test.cpp shape): a verdict is read
+// off SweepTotals, so it records and merges exactly as the totals do.
+
+/// Totals of one stream of judged executions.
+SweepTotals judged(const std::vector<FaultVerdict>& outcomes) {
+  SweepTotals totals;
+  for (const FaultVerdict v : outcomes) totals.add(SweepTotals::tally_of(v));
+  return totals;
+}
 
 TEST(VerdictAccumulator, EmptyAccumulatorHasVacuousBounds) {
-  const VerdictAccumulator v;
+  const VerdictAccumulator v = SweepTotals{}.verdict();
   EXPECT_EQ(v.trials(), 0u);
   EXPECT_EQ(v.failures(), 0u);
   EXPECT_EQ(v.failure_rate(), 0.0);
@@ -457,11 +466,11 @@ TEST(VerdictAccumulator, EmptyAccumulatorHasVacuousBounds) {
 }
 
 TEST(VerdictAccumulator, RecordsVerdictsAndRates) {
-  VerdictAccumulator v;
-  v.record_failure(false);
-  v.record_failure(true);
-  v.record_failure(true);
-  v.record_failure(false);
+  // Both failure kinds count as failures; a correct execution does not.
+  const VerdictAccumulator v =
+      judged({FaultVerdict::kCorrect, FaultVerdict::kWrongOutput,
+              FaultVerdict::kDeadlockOrFault, FaultVerdict::kCorrect})
+          .verdict();
   EXPECT_EQ(v.trials(), 4u);
   EXPECT_EQ(v.failures(), 2u);
   EXPECT_DOUBLE_EQ(v.failure_rate(), 0.5);
@@ -474,20 +483,22 @@ TEST(VerdictAccumulator, RecordsVerdictsAndRates) {
 
 TEST(VerdictAccumulator, MergeIsOrderObliviousAndEqualsSingleStream) {
   std::mt19937 rng(0xBEEF);
-  std::vector<bool> outcomes;
-  for (int i = 0; i < 500; ++i) outcomes.push_back(rng() % 3 == 0);
-
-  VerdictAccumulator single;
-  for (const bool failed : outcomes) single.record_failure(failed);
+  std::vector<FaultVerdict> outcomes;
+  for (int i = 0; i < 500; ++i) {
+    outcomes.push_back(static_cast<FaultVerdict>(rng() % 3));
+  }
+  const VerdictAccumulator single = judged(outcomes).verdict();
 
   for (const std::size_t parts : {2u, 4u, 7u}) {
-    std::vector<VerdictAccumulator> split(parts);
+    std::vector<std::vector<FaultVerdict>> split(parts);
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      split[i % parts].record_failure(outcomes[i]);
+      split[i % parts].push_back(outcomes[i]);
     }
-    std::shuffle(split.begin(), split.end(), rng);
-    VerdictAccumulator merged;
-    for (const VerdictAccumulator& part : split) merged.merge(part);
+    std::vector<SweepTotals> totals;
+    for (const auto& part : split) totals.push_back(judged(part));
+    std::shuffle(totals.begin(), totals.end(), rng);
+    const VerdictAccumulator merged =
+        SweepTotals::merge(std::move(totals)).verdict();
     EXPECT_EQ(merged, single) << parts << " parts";
     EXPECT_EQ(merged.wilson().lo, single.wilson().lo);
     EXPECT_EQ(merged.wilson().hi, single.wilson().hi);
@@ -495,9 +506,9 @@ TEST(VerdictAccumulator, MergeIsOrderObliviousAndEqualsSingleStream) {
 }
 
 TEST(VerdictAccumulator, RehydratesFromSerializedTotals) {
-  VerdictAccumulator v;
-  for (int i = 0; i < 10; ++i) v.record_failure(i < 3);
-  EXPECT_EQ(VerdictAccumulator(10, 3), v);
+  std::vector<FaultVerdict> outcomes(10, FaultVerdict::kCorrect);
+  for (int i = 0; i < 3; ++i) outcomes[i] = FaultVerdict::kWrongOutput;
+  EXPECT_EQ(VerdictAccumulator(10, 3), judged(outcomes).verdict());
   EXPECT_THROW(VerdictAccumulator(1, 2), LogicError);
 }
 
@@ -539,10 +550,10 @@ TEST(StatisticalVerdict, AdaptiveCrashCoinMatchesItsAnalyticRate) {
     opts.seed = 9;
     const SweepTotals totals = run_statistical_verdict(
         g, p, FaultSpec::Adaptive(9, trials), crashed_means_failure, opts);
-    EXPECT_EQ(totals.verdict.trials(), trials);
-    const WilsonInterval ci = totals.verdict.wilson();
+    EXPECT_EQ(totals.verdict().trials(), trials);
+    const WilsonInterval ci = totals.verdict().wilson();
     EXPECT_LE(ci.lo, 0.5) << trials << " trials: " << verdict_summary(
-        totals.verdict);
+        totals.verdict());
     EXPECT_GE(ci.hi, 0.5) << trials << " trials";
   }
 }
@@ -562,7 +573,7 @@ TEST(StatisticalVerdict, TotalsAreThreadCountInvariant) {
     opts.threads = threads;
     const SweepTotals totals =
         run_statistical_verdict(g, p, faults, crash_tolerant, opts);
-    EXPECT_EQ(totals.verdict, oracle.verdict);
+    EXPECT_EQ(totals.verdict(), oracle.verdict());
     EXPECT_EQ(totals.engine_failures, oracle.engine_failures);
     EXPECT_EQ(totals.wrong_outputs, oracle.wrong_outputs);
   }
@@ -581,19 +592,18 @@ TEST(StatisticalVerdict, StridedShardSplitMergesToTheSingleStream) {
   const SweepTotals oracle =
       run_statistical_verdict(g, p, faults, crash_tolerant, single);
   for (const std::uint64_t stride : {2u, 3u, 5u}) {
-    VerdictAccumulator merged;
-    std::uint64_t engine_failures = 0;
+    std::vector<SweepTotals> shards;
     for (std::uint64_t offset = 0; offset < stride; ++offset) {
       StatisticalOptions opts = single;
       opts.stride = stride;
       opts.offset = offset;
-      const SweepTotals shard =
-          run_statistical_verdict(g, p, faults, crash_tolerant, opts);
-      merged.merge(shard.verdict);
-      engine_failures += shard.engine_failures;
+      shards.push_back(
+          run_statistical_verdict(g, p, faults, crash_tolerant, opts));
     }
-    EXPECT_EQ(merged, oracle.verdict) << "stride " << stride;
-    EXPECT_EQ(engine_failures, oracle.engine_failures);
+    const SweepTotals merged = SweepTotals::merge(std::move(shards));
+    EXPECT_EQ(merged.verdict(), oracle.verdict()) << "stride " << stride;
+    EXPECT_EQ(merged.engine_failures, oracle.engine_failures);
+    EXPECT_EQ(merged.wrong_outputs, oracle.wrong_outputs);
   }
 }
 
@@ -627,8 +637,9 @@ TEST(StatisticalVerdict, AdaptiveShardDocumentsMergeToTheSingleStream) {
   }
   std::reverse(results.begin(), results.end());
   const shard::MergedResult merged = shard::merge_shard_results(results);
-  EXPECT_EQ(merged.verdict_trials, oracle.verdict.trials());
-  EXPECT_EQ(merged.verdict_failures, oracle.verdict.failures());
+  EXPECT_EQ(merged.executions, oracle.executions);
+  EXPECT_EQ(merged.engine_failures, oracle.engine_failures);
+  EXPECT_EQ(merged.wrong_outputs, oracle.wrong_outputs);
   EXPECT_EQ(merged.faults, faults);
 }
 
@@ -657,15 +668,16 @@ TEST(KrzTriangle, EpsilonErrorMatchesOneMinusQCubed) {
   const Graph g = complete_graph(3);
   const double true_miss_rate = 1.0 - 1.0 / 8.0;  // q = 1/2, 1 - q^3
   for (const std::uint64_t trials : {64u, 256u, 1024u}) {
-    VerdictAccumulator verdict;
+    std::uint64_t misses = 0;
     for (std::uint64_t seed = 0; seed < trials; ++seed) {
       const KrzTriangleProtocol p(1, 2, seed);
       FirstAdversary adv;
       const ExecutionResult r = run_protocol(g, p, adv);
       ASSERT_TRUE(r.ok());
       // Failure = the detector misses the planted triangle of K3.
-      verdict.record_failure(!p.output(r.board, 3));
+      misses += p.output(r.board, 3) ? 0 : 1;
     }
+    const VerdictAccumulator verdict(trials, misses);
     const WilsonInterval ci = verdict.wilson();
     EXPECT_LE(ci.lo, true_miss_rate)
         << trials << " trials: " << verdict_summary(verdict);
@@ -674,14 +686,14 @@ TEST(KrzTriangle, EpsilonErrorMatchesOneMinusQCubed) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard documents (satellite c): fault goldens round-trip byte-identically,
-// fault-free v2 files parse fault-free, malformed fixtures are rejected.
+// Shard documents: fault goldens round-trip byte-identically, malformed
+// fixtures are rejected.
 
 TEST(FaultDocuments, CrashGoldenSpecAndResultRoundTripByteIdentically) {
   const std::string spec_text = data_file("faults_crash.0.shard");
   const shard::ShardSpec spec = shard::parse_shard_spec(spec_text);
   EXPECT_EQ(spec.faults, FaultSpec::Crash(1));
-  EXPECT_FALSE(spec.fault_tasks.empty());
+  EXPECT_FALSE(spec.tasks.empty());
   EXPECT_EQ(shard::serialize(spec), spec_text);
 
   const std::string result_text = data_file("faults_crash.0.result");
@@ -694,29 +706,13 @@ TEST(FaultDocuments, AdaptiveGoldenSpecAndResultRoundTripByteIdentically) {
   const std::string spec_text = data_file("faults_adaptive.0.shard");
   const shard::ShardSpec spec = shard::parse_shard_spec(spec_text);
   EXPECT_EQ(spec.faults.kind, FaultKind::kAdaptive);
-  EXPECT_TRUE(spec.fault_tasks.empty());  // statistical: no partition
+  EXPECT_TRUE(spec.tasks.empty());  // statistical: no partition
   EXPECT_EQ(shard::serialize(spec), spec_text);
 
   const std::string result_text = data_file("faults_adaptive.0.result");
   const shard::ShardResult result = shard::parse_shard_result(result_text);
   EXPECT_EQ(result.faults.kind, FaultKind::kAdaptive);
-  EXPECT_LE(result.verdict_failures, result.verdict_trials);
-  EXPECT_EQ(shard::serialize(result), result_text);
-}
-
-TEST(FaultDocuments, FaultFreeV2FilesParseFaultFreeAndUnchanged) {
-  // Pre-fault v2 documents carry no fault lines; they must parse as
-  // fault-free and re-serialize byte-identically (the format extension is
-  // invisible until a fault spec is present).
-  const std::string spec_text = data_file("path3_echo_v2.0.shard");
-  const shard::ShardSpec spec = shard::parse_shard_spec(spec_text);
-  EXPECT_TRUE(spec.faults.fault_free());
-  EXPECT_EQ(spec.faults.kind, FaultKind::kNone);
-  EXPECT_EQ(shard::serialize(spec), spec_text);
-
-  const std::string result_text = data_file("path3_echo_v2.0.result");
-  const shard::ShardResult result = shard::parse_shard_result(result_text);
-  EXPECT_TRUE(result.faults.fault_free());
+  EXPECT_EQ(result.executions, 32u);  // half of adaptive:7:64's trials
   EXPECT_EQ(shard::serialize(result), result_text);
 }
 
@@ -725,22 +721,12 @@ TEST(FaultDocuments, CommittedMalformedFaultFixturesAreRejected) {
       "bad_faults_kind.shard",        "bad_faults_crash_arity.shard",
       "bad_faults_crash_f.shard",     "bad_faults_corrupt_prob.shard",
       "bad_faults_adaptive_trials.shard", "bad_faults_duplicate.shard",
-      "bad_fprefix_arity.shard",      "bad_fprefix_world.shard",
-      "bad_fprefix_count.shard",      "bad_fprefix_without_crash.shard",
+      "bad_task_arity.shard",         "bad_task_world.shard",
+      "bad_task_count.shard",
   };
   for (const char* name : bad_specs) {
     const std::string text = data_file(name);
     EXPECT_THROW((void)shard::parse_shard_spec(text), DataError) << name;
-  }
-  const char* bad_results[] = {
-      "bad_verdict_arity.result",
-      "bad_verdict_overflow.result",
-      "bad_verdict_without_adaptive.result",
-      "missing_verdict.result",
-  };
-  for (const char* name : bad_results) {
-    const std::string text = data_file(name);
-    EXPECT_THROW((void)shard::parse_shard_result(text), DataError) << name;
   }
 }
 

@@ -8,9 +8,11 @@
 // process-boundary pipeline is under test, not just the in-memory merge.
 //
 // Golden files under tests/wb/data/ pin the text formats byte-for-byte: the
-// v2 set is what the serializers write today (exact, hll, and manifest).
-// Malformed/truncated/version-skewed (v1 included) inputs must be rejected
-// with a wb::DataError diagnostic, never undefined behavior.
+// v3 set is what the serializers write today (exact, hll, and manifest).
+// Malformed/truncated/version-skewed (v2 included) inputs must be rejected
+// with a wb::DataError diagnostic, never undefined behavior — and every
+// committed document survives single-line deletion, duplication, and
+// truncation with nothing but a DataError.
 #include "src/wb/shard.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -254,14 +257,16 @@ TEST(ShardOracle, PlanIsDeterministicAndTilesTheScheduleTree) {
   for (std::size_t k = 0; k < once.size(); ++k) {
     EXPECT_EQ(shard::serialize(once[k]), shard::serialize(twice[k]));
   }
-  // The shards' prefixes are exactly the partition, distributed round-robin.
+  // The shards' tasks are exactly the partition as world-0 tasks,
+  // distributed round-robin.
   const std::vector<PrefixTask> tasks =
       partition_executions(g, p, EngineOptions{}, 4 * 4);
   std::size_t total = 0;
-  for (const auto& spec : once) total += spec.prefixes.size();
+  for (const auto& spec : once) total += spec.tasks.size();
   EXPECT_EQ(total, tasks.size());
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    EXPECT_EQ(once[t % 4].prefixes[t / 4], tasks[t]) << "task " << t;
+    EXPECT_EQ(once[t % 4].tasks[t / 4], (FaultTask{0, tasks[t]}))
+        << "task " << t;
   }
 }
 
@@ -569,10 +574,11 @@ TEST(ShardOracle, AcceptExceptionPropagatesOutOfRunShard) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden files: the v2 text formats byte-for-byte.
+// Golden files: the v3 text formats byte-for-byte. (The test names keep the
+// format version the goldens were introduced at.)
 
 TEST(ShardGolden, V2SpecFileRoundTripsByteIdentically) {
-  const std::string text = data_file("path3_echo_v2.0.shard");
+  const std::string text = data_file("path3_echo.0.shard");
   const ShardSpec spec = shard::parse_shard_spec(text);
   EXPECT_EQ(spec.distinct, DistinctConfig::Exact());
   EXPECT_EQ(shard::serialize(spec), text);
@@ -585,14 +591,14 @@ TEST(ShardGolden, V2SpecFileRoundTripsByteIdentically) {
 }
 
 TEST(ShardGolden, V2ResultFileRoundTripsByteIdentically) {
-  const std::string text = data_file("path3_echo_v2.0.result");
+  const std::string text = data_file("path3_echo.0.result");
   const ShardResult result = shard::parse_shard_result(text);
   EXPECT_EQ(shard::serialize(result), text);
   // Re-running the committed spec regenerates the committed result bytes:
   // board hashing, dedup, and serialization are all pinned.
   const testing::EchoIdProtocol p;
   const ShardSpec spec =
-      shard::parse_shard_spec(data_file("path3_echo_v2.0.shard"));
+      shard::parse_shard_spec(data_file("path3_echo.0.shard"));
   EXPECT_EQ(shard::serialize(shard::run_shard(spec, p, kNoAccept, 1)), text);
 }
 
@@ -618,7 +624,7 @@ TEST(ShardGolden, V2HllSpecAndResultRoundTripByteIdentically) {
 }
 
 TEST(ShardGolden, V2ManifestRoundTripsByteIdentically) {
-  const std::string text = data_file("path3_echo_v2.manifest");
+  const std::string text = data_file("path3_echo.manifest");
   const shard::ShardManifest manifest = shard::parse_shard_manifest(text);
   EXPECT_EQ(shard::serialize(manifest), text);
   // make_manifest over the regenerated plan reproduces the committed bytes:
@@ -628,7 +634,7 @@ TEST(ShardGolden, V2ManifestRoundTripsByteIdentically) {
   EXPECT_EQ(shard::serialize(shard::make_manifest(specs)), text);
   ASSERT_EQ(manifest.spec_hashes.size(), 2u);
   EXPECT_EQ(manifest.spec_hashes[0],
-            shard::hash_document(data_file("path3_echo_v2.0.shard")));
+            shard::hash_document(data_file("path3_echo.0.shard")));
 }
 
 TEST(ShardGolden, CommittedMalformedFixturesAreRejected) {
@@ -682,12 +688,12 @@ TEST(ShardFormats, MalformedSpecsAreRejectedWithDiagnostics) {
   } cases[] = {
       {"empty input", ""},
       {"wrong magic", replace_first(valid, "wbshard-spec", "wbshard-spek")},
-      {"version skew", replace_first(valid, "wbshard-spec v2",
+      {"version skew", replace_first(valid, "wbshard-spec v3",
                                      "wbshard-spec v9")},
-      {"two-digit version", replace_first(valid, "wbshard-spec v2",
-                                          "wbshard-spec v22")},
-      {"v1 is version skew", replace_first(valid, "wbshard-spec v2",
-                                           "wbshard-spec v1")},
+      {"two-digit version", replace_first(valid, "wbshard-spec v3",
+                                          "wbshard-spec v33")},
+      {"v2 is version skew", replace_first(valid, "wbshard-spec v3",
+                                           "wbshard-spec v2")},
       {"bad distinct config", replace_first(valid, "distinct exact",
                                             "distinct approximately")},
       {"hll precision out of range", replace_first(valid, "distinct exact",
@@ -695,14 +701,32 @@ TEST(ShardFormats, MalformedSpecsAreRejectedWithDiagnostics) {
       {"missing protocol", replace_first(valid, "protocol ", "protokol ")},
       {"edge out of range", replace_first(valid, "edge 1 2", "edge 1 9")},
       {"self-loop edge", replace_first(valid, "edge 1 2", "edge 2 2")},
+      {"repeated edge", replace_first(valid, "edge 2 3", "edge 1 2")},
+      {"edges out of order", replace_first(valid, "edge 1 2\nedge 2 3",
+                                           "edge 2 3\nedge 1 2")},
+      {"node count past the id range",
+       replace_first(valid, "graph 3 2", "graph 4294967299 2")},
+      {"missing faults line", replace_first(valid, "faults none\n", "")},
       {"shard index out of range", replace_first(valid, "shard 0 2",
                                                  "shard 2 2")},
-      {"prefix depth too large", replace_first(valid, "prefix 2 1 2",
-                                               "prefix 3 1 2 3")},
-      {"prefix node out of range", replace_first(valid, "prefix 2 1 2",
-                                                 "prefix 2 1 7")},
-      {"prefix arity mismatch", replace_first(valid, "prefix 2 1 2",
-                                              "prefix 2 1")},
+      // 2^32 + 2 would narrow to 2: it must not parse as shard 0 of 2.
+      {"shard count past 32 bits", replace_first(valid, "shard 0 2",
+                                                 "shard 0 4294967298")},
+      {"shard count past the cap",
+       replace_first(valid, "shard 0 2",
+                     "shard 0 " + std::to_string(shard::kMaxShards + 1))},
+      {"prefix depth too large", replace_first(valid, "task 0 2 1 2",
+                                               "task 0 3 1 2 3")},
+      {"prefix node out of range", replace_first(valid, "task 0 2 1 2",
+                                                 "task 0 2 1 7")},
+      {"prefix arity mismatch", replace_first(valid, "task 0 2 1 2",
+                                              "task 0 2 1")},
+      {"fault-free task outside world 0",
+       replace_first(valid, "task 0 2 1 2", "task 1 2 1 2")},
+      {"task without a prefix depth",
+       replace_first(valid, "task 0 2 1 2", "task 0")},
+      {"adaptive spec with tasks",
+       replace_first(valid, "faults none", "faults adaptive:1:8")},
       {"truncated before end", valid.substr(0, valid.size() - 4)},
       {"trailing content", valid + "extra\n"},
       {"missing final newline", valid.substr(0, valid.size() - 1)},
@@ -713,8 +737,8 @@ TEST(ShardFormats, MalformedSpecsAreRejectedWithDiagnostics) {
       {"bad plan hash width", replace_first(valid, "plan ", "plan f ")},
       // A lying giant count must produce the parse error, not a giant
       // allocation (reserve is clamped to the document size).
-      {"astronomical prefix count",
-       replace_first(valid, "prefixes 3", "prefixes 9999999999999999")},
+      {"astronomical task count",
+       replace_first(valid, "tasks 3", "tasks 9999999999999999")},
       {"astronomical edge count",
        replace_first(valid, "graph 3 2", "graph 3 9999999999999999")},
   };
@@ -751,10 +775,20 @@ TEST(ShardFormats, MalformedResultsAreRejectedWithDiagnostics) {
     std::string text;
   } cases[] = {
       {"wrong magic", replace_first(valid, "wbshard-result", "wbshard-spec")},
-      {"version skew", replace_first(valid, "wbshard-result v2",
+      {"version skew", replace_first(valid, "wbshard-result v3",
                                      "wbshard-result v0")},
-      {"v1 is version skew", replace_first(valid, "wbshard-result v2",
-                                           "wbshard-result v1")},
+      {"v2 is version skew", replace_first(valid, "wbshard-result v3",
+                                           "wbshard-result v2")},
+      // 2^32 + 1 would narrow to 1: it must not parse as shard 0 of 1.
+      {"shard count past 32 bits", replace_first(valid, "shard 0 2",
+                                                 "shard 0 4294967297")},
+      {"shard count past the cap",
+       replace_first(valid, "shard 0 2",
+                     "shard 0 " + std::to_string(shard::kMaxShards + 1))},
+      {"missing faults line", replace_first(valid, "faults none\n", "")},
+      {"stray verdict line",
+       replace_first(valid, "budget-exceeded 0\n",
+                     "budget-exceeded 0\nverdict 3 0\n")},
       {"failures exceed executions",
        replace_first(valid, "wrong-outputs 0", "wrong-outputs 4")},
       {"bad distinct kind", replace_first(valid, "distinct-kind exact",
@@ -834,9 +868,18 @@ TEST(ShardFormats, MalformedManifestsAreRejectedWithDiagnostics) {
       {"empty input", ""},
       {"wrong magic",
        replace_first(valid, "wbshard-manifest", "wbshard-result")},
-      {"v1 never existed for manifests",
-       replace_first(valid, "wbshard-manifest v2", "wbshard-manifest v1")},
+      {"v2 is version skew",
+       replace_first(valid, "wbshard-manifest v3", "wbshard-manifest v2")},
       {"zero shards", replace_first(valid, "shards 2", "shards 0")},
+      // 2^32 + 2 would narrow to 2 and match the two spec lines.
+      {"shard count past 32 bits",
+       replace_first(valid, "shards 2", "shards 4294967298")},
+      {"shard count past the cap",
+       replace_first(valid, "shards 2",
+                     "shards " + std::to_string(shard::kMaxShards + 1))},
+      {"stray faults line",
+       replace_first(valid, "distinct exact\n",
+                     "distinct exact\nfaults none\n")},
       {"missing spec hash", replace_first(valid, "spec ", "spek ")},
       {"bad spec hash width", replace_first(valid, "spec ", "spec f ")},
       {"bad distinct", replace_first(valid, "distinct exact",
@@ -847,6 +890,68 @@ TEST(ShardFormats, MalformedManifestsAreRejectedWithDiagnostics) {
   for (const auto& c : cases) {
     EXPECT_THROW((void)shard::parse_shard_manifest(c.text), DataError)
         << c.what;
+  }
+}
+
+// Robustness table: every committed v3 document round-trips byte-identically,
+// and every single-line deletion, single-line duplication, and truncation at
+// a line boundary of it is refused with a DataError — never another
+// exception, never a silently different document.
+TEST(ShardFormats, EveryFixtureRefusesLineDeletionDuplicationAndTruncation) {
+  using Reparse = std::function<std::string(const std::string&)>;
+  const Reparse spec = [](const std::string& text) {
+    return shard::serialize(shard::parse_shard_spec(text));
+  };
+  const Reparse result = [](const std::string& text) {
+    return shard::serialize(shard::parse_shard_result(text));
+  };
+  const Reparse manifest = [](const std::string& text) {
+    return shard::serialize(shard::parse_shard_manifest(text));
+  };
+  const struct {
+    const char* name;
+    const Reparse& reparse;
+  } fixtures[] = {
+      {"path3_echo.0.shard", spec},
+      {"path3_echo.0.result", result},
+      {"path3_echo_hll8.0.shard", spec},
+      {"path3_echo_hll8.0.result", result},
+      {"path3_echo.manifest", manifest},
+      {"faults_crash.0.shard", spec},
+      {"faults_crash.0.result", result},
+      {"faults_adaptive.0.shard", spec},
+      {"faults_adaptive.0.result", result},
+  };
+  for (const auto& f : fixtures) {
+    const std::string text = data_file(f.name);
+    EXPECT_EQ(f.reparse(text), text) << f.name;
+    std::vector<std::string> lines;  // each with its '\n'
+    for (std::size_t start = 0; start < text.size();) {
+      const std::size_t end = text.find('\n', start) + 1;
+      ASSERT_NE(end, 0u) << f.name << " lacks a final newline";
+      lines.push_back(text.substr(start, end - start));
+      start = end;
+    }
+    const auto expect_refused = [&](const std::string& mutant,
+                                    const std::string& what) {
+      try {
+        (void)f.reparse(mutant);
+        ADD_FAILURE() << f.name << ": " << what << " parsed";
+      } catch (const DataError&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << f.name << ": " << what << " threw '" << e.what()
+                      << "' instead of a DataError";
+      }
+    };
+    std::string prefix;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const std::string rest = text.substr(prefix.size() + lines[i].size());
+      expect_refused(prefix, "truncation before line " + std::to_string(i + 1));
+      expect_refused(prefix + rest, "deleting line " + std::to_string(i + 1));
+      expect_refused(prefix + lines[i] + lines[i] + rest,
+                     "duplicating line " + std::to_string(i + 1));
+      prefix += lines[i];
+    }
   }
 }
 

@@ -138,8 +138,8 @@ int print_merged(const wb::shard::MergedResult& merged) {
     // Statistical sweeps merge verdict tallies, not schedule counts — print
     // the same `schedules`/`verdict` lines the in-process statistical report
     // uses so CI can diff a sharded adaptive sweep against the serial one.
-    const wb::VerdictAccumulator verdict(merged.verdict_trials,
-                                         merged.verdict_failures);
+    const wb::VerdictAccumulator verdict(
+        merged.executions, merged.engine_failures + merged.wrong_outputs);
     std::printf("schedules  %llu sampled trials (statistical sweep)\n",
                 static_cast<unsigned long long>(verdict.trials()));
     std::printf("verdict    %s\n", wb::verdict_summary(verdict).c_str());
@@ -227,8 +227,7 @@ FleetCliOptions take_fleet_options(std::vector<std::string>& args,
         std::chrono::milliseconds(parse_u64_arg(values[3], "deadline"));
   }
   if (!values[4].empty()) {
-    out.fleet.max_attempts =
-        static_cast<int>(parse_u64_arg(values[4], "--max-attempts"));
+    out.fleet.max_attempts = wb::cli::parse_int(values[4], "--max-attempts");
   }
   if (!values[5].empty()) {
     out.stall_first =
@@ -567,12 +566,10 @@ int cmd_shard_plan(const std::vector<std::string>& args) {
     if (spec.faults.kind == wb::FaultKind::kAdaptive) {
       std::printf("wrote %s (statistical stride %u/%u)\n", path.c_str(),
                   spec.shard_index, spec.shard_count);
-    } else if (spec.faults.kind != wb::FaultKind::kNone) {
-      std::printf("wrote %s (%zu fault subtree prefixes)\n", path.c_str(),
-                  spec.fault_tasks.size());
     } else {
-      std::printf("wrote %s (%zu subtree prefixes)\n", path.c_str(),
-                  spec.prefixes.size());
+      std::printf("wrote %s (%zu %ssubtree prefixes)\n", path.c_str(),
+                  spec.tasks.size(),
+                  spec.faults.kind == wb::FaultKind::kNone ? "" : "fault ");
     }
   }
   const std::string manifest_path = base + ".manifest";
