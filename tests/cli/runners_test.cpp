@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "src/cli/spec.h"
 #include "src/support/check.h"
+#include "src/support/hash.h"
 
 namespace wb::cli {
 namespace {
@@ -266,6 +269,89 @@ TEST(Runners, CorruptPairChaseSweepFailsCleanly) {
   ASSERT_NO_THROW(r = run_protocol_spec_exhaustive("pair-chase", g, opts));
   EXPECT_FALSE(r.correct);
   EXPECT_GT(r.engine_failures, 0u) << r.summary;
+}
+
+/// The tallies of one single-shard sweep folded with its sorted exact board
+/// hashes into one 128-bit digest, printed as 32 hex digits.
+std::string sweep_digest(const shard::ShardResult& r) {
+  Hasher128 h;
+  h.update(r.executions);
+  h.update(r.engine_failures);
+  h.update(r.wrong_outputs);
+  h.update(r.board_hashes.size());
+  for (const Hash128& b : r.board_hashes) {
+    h.update(b.lo);
+    h.update(b.hi);
+  }
+  const Hash128 d = h.digest();
+  char hex[33];
+  std::snprintf(hex, sizeof hex, "%016llx%016llx",
+                static_cast<unsigned long long>(d.hi),
+                static_cast<unsigned long long>(d.lo));
+  return hex;
+}
+
+TEST(Runners, EveryProtocolSpecPinsItsMessageBits) {
+  // Every distinct final board of every schedule, hashed bit for bit, for
+  // each protocol protocol_spec_help() lists: a change to any message any
+  // protocol composes moves its digest. Pinned on graphs of at most 6 nodes
+  // so each sweep stays under 720 schedules.
+  struct Case {
+    const char* graph;
+    const char* protocol;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {"tree:6:1", "build-forest",
+       "64376a8e90eeb966255ddf49c7eddecc"},
+      {"cycle:5", "build-degenerate:2",
+       "0bb02a8e51cfda15651d047fb72b4e9d"},
+      {"gnp:5:1/2:3", "build-full",
+       "78aad5f15e2d49b87d8268eafa3fbfe8"},
+      {"path:5", "mis:2",
+       "f556a5415984af49c5561083fa9c247d"},
+      {"twocliques:3", "two-cliques",
+       "1f77b25bad38df2d0f8391732bcdae57"},
+      {"switched:3", "rand-two-cliques:11",
+       "c3ec46c2917302b8adbb55d120882a3a"},
+      {"cycle:6", "eob-bfs",
+       "dc0470de31a6fb842217567a82d0e982"},
+      {"bipartite:3:3:2/3:1", "bipartite-bfs",
+       "04e540379e7a6e6ed5507b9b1847901d"},
+      {"cgnp:6:1/3:2", "sync-bfs",
+       "502b063703dcb74c3a57f8dddabdb91d"},
+      {"gnp:6:1/2:1", "subgraph:2",
+       "9e7849a2bbf1eabac343b3d1743643dc"},
+      {"twocliques:3", "triangle-oracle",
+       "ac3958b581bdcd9e9c7862b2d84ffde7"},
+      {"complete:4", "pair-chase",
+       "666033134337910ca9369d3e0b6c23ff"},
+      {"gnp:6:1/3:4", "spanning-forest",
+       "2328a8d49dd0cf0ec0013d7e78829afa"},
+      {"star:6", "anon-degree",
+       "110be284f0be2fcdf46e7f2cd4bbbce3"},
+      {"grid:2x3", "square-oracle",
+       "638ba4bcd9b5166534cefbcf2450c907"},
+      {"star:5", "diameter-oracle:2",
+       "f50924684ff1684a5975d24cb59e595b"},
+      {"cgnp:6:1/4:7", "connectivity-oracle",
+       "d883161f5ee41ef8024dfd81ee66c501"},
+      {"gnp:6:1/2:5", "krz-triangle:1/2:3",
+       "503291e7d001fd64afbfd6600469b02c"},
+      {"path:4", "broken-first:2",
+       "2b561e85a3467e046e3541c2af8a0462"},
+  };
+  for (const Case& c : cases) {
+    const Graph g = graph_from_spec(c.graph);
+    const auto specs = plan_protocol_spec_shards(c.protocol, g, 1);
+    ASSERT_EQ(specs.size(), 1u) << c.protocol;
+    const shard::ShardResult r = run_protocol_spec_shard(specs[0], 1);
+    EXPECT_GT(r.executions, 0u) << c.protocol;
+    EXPECT_EQ(sweep_digest(r), c.digest)
+        << "{\"" << c.graph << "\", \"" << c.protocol << "\"}: "
+        << r.executions << " executions, " << r.board_hashes.size()
+        << " distinct boards";
+  }
 }
 
 TEST(Runners, ReportsContainVitalSigns) {
