@@ -19,10 +19,11 @@
 //                                through Protocol::compose — the benchmark
 //                                *fails* (SkipWithError) if the steady
 //                                state exceeds 0.5 allocs/execution;
-//  - BM_ExhaustiveBuildFull    — the same sweep with an allocating-subclass
-//                                migrant (BuildFull), gating the scratch-
-//                                BitWriter migration of the protocol layer
-//                                at the same ≤0.5 allocs/execution bar;
+//  - BM_ExhaustiveBuildFull    — the same sweep with a SIMASYNC protocol
+//                                (BuildFull, Θ(n)-bit adjacency messages)
+//                                writing through compose_initial's scratch
+//                                writer, at the same ≤0.5 allocs/execution
+//                                bar;
 //  - BM_ExhaustiveTwoCliquesThreads — the same sweep partitioned across the
 //                                shared worker pool at 1/2/4/8 threads;
 //                                verifies the bit-identical 40320 count at
@@ -180,10 +181,8 @@ BENCHMARK(BM_ExhaustiveTwoCliques)->Unit(benchmark::kMillisecond);
 
 void BM_ExhaustiveBuildFull(benchmark::State& state) {
   // Same sweep, SIMASYNC protocol: BuildFull freezes (ID, adjacency row)
-  // messages at activation. Guards the scratch-BitWriter migration of the
-  // *allocating protocol subclasses* — before it, every compose heap-
-  // allocated its writer buffer; with the migration the steady state is
-  // allocation-free like the two-cliques sweep above.
+  // messages at activation through the engine's scratch writer, so the
+  // steady state is allocation-free like the two-cliques sweep above.
   const Graph g = two_cliques(4);  // 8 nodes: 8! = 40320 executions
   const BuildFullProtocol p;
   std::uint64_t execs = 0;

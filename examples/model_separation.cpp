@@ -34,8 +34,7 @@ class NaiveSimAsyncMis final : public SimAsyncProtocol<MisOutput> {
   std::size_t message_bit_limit(std::size_t n) const override {
     return bits_for_id(n) + 1;
   }
-  Bits compose_initial(const LocalView& view) const override {
-    BitWriter w;
+  Bits compose_initial(const LocalView& view, BitWriter& w) const override {
     w.write_uint(view.id() - 1, bits_for_id(view.n()));
     // Without board feedback the only local rule is "enter unless adjacent
     // to the root".

@@ -321,10 +321,6 @@ class FirstWriterProtocol final : public SimAsyncProtocol<NodeId> {
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override {
     return static_cast<std::size_t>(codec::id_bits(n));
   }
-  [[nodiscard]] Bits compose_initial(const LocalView& view) const override {
-    BitWriter w;
-    return compose_initial(view, w);
-  }
   [[nodiscard]] Bits compose_initial(const LocalView& view,
                                      BitWriter& w) const override {
     codec::write_id(w, view.id(), view.n());

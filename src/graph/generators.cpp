@@ -10,7 +10,7 @@
 namespace wb {
 
 Graph path_graph(std::size_t n) {
-  WB_CHECK(n >= 1);
+  WB_REQUIRE_MSG(n >= 1, "path N must be >= 1");
   GraphBuilder b(n);
   for (std::size_t i = 1; i + 1 <= n; ++i) {
     b.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(i + 1));
@@ -19,7 +19,7 @@ Graph path_graph(std::size_t n) {
 }
 
 Graph cycle_graph(std::size_t n) {
-  WB_CHECK(n >= 3);
+  WB_REQUIRE_MSG(n >= 3, "cycle N must be >= 3");
   GraphBuilder b(n);
   for (std::size_t i = 1; i < n; ++i) {
     b.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(i + 1));
@@ -39,7 +39,7 @@ Graph complete_graph(std::size_t n) {
 }
 
 Graph star_graph(std::size_t n) {
-  WB_CHECK(n >= 1);
+  WB_REQUIRE_MSG(n >= 1, "star N must be >= 1");
   GraphBuilder b(n);
   for (std::size_t i = 2; i <= n; ++i) b.add_edge(1, static_cast<NodeId>(i));
   return b.build();
@@ -48,7 +48,7 @@ Graph star_graph(std::size_t n) {
 Graph empty_graph(std::size_t n) { return Graph(n); }
 
 Graph grid_graph(std::size_t rows, std::size_t cols) {
-  WB_CHECK(rows >= 1 && cols >= 1);
+  WB_REQUIRE_MSG(rows >= 1 && cols >= 1, "grid rows and cols must be >= 1");
   GraphBuilder b(rows * cols);
   auto id = [cols](std::size_t r, std::size_t c) {
     return static_cast<NodeId>(r * cols + c + 1);
@@ -73,7 +73,7 @@ Graph complete_bipartite(std::size_t a, std::size_t b) {
 }
 
 Graph two_cliques(std::size_t n) {
-  WB_CHECK(n >= 1);
+  WB_REQUIRE_MSG(n >= 1, "twocliques N must be >= 1");
   GraphBuilder b(2 * n);
   for (std::size_t base : {std::size_t{0}, n}) {
     for (std::size_t i = 1; i <= n; ++i) {
@@ -86,7 +86,7 @@ Graph two_cliques(std::size_t n) {
 }
 
 Graph two_cliques_switched(std::size_t n) {
-  WB_CHECK_MSG(n >= 3, "2-switch needs cliques of size >= 3");
+  WB_REQUIRE_MSG(n >= 3, "switched N must be >= 3");
   // Remove {1,2} from the first clique and {n+1,n+2} from the second; add the
   // crossing edges {1,n+1} and {2,n+2}. Every node keeps degree n-1 and the
   // graph becomes connected, hence not a union of two cliques.
@@ -208,7 +208,7 @@ Graph random_regular(std::size_t n, std::size_t d, std::uint64_t seed) {
 }
 
 Graph random_tree(std::size_t n, std::uint64_t seed) {
-  WB_CHECK(n >= 1);
+  WB_REQUIRE_MSG(n >= 1, "tree N must be >= 1");
   if (n == 1) return Graph(1);
   if (n == 2) {
     const Edge e{1, 2};
@@ -250,7 +250,8 @@ Graph random_tree(std::size_t n, std::uint64_t seed) {
 }
 
 Graph random_forest(std::size_t n, int attach_pct, std::uint64_t seed) {
-  WB_CHECK(n >= 1 && attach_pct >= 0 && attach_pct <= 100);
+  WB_REQUIRE_MSG(n >= 1, "forest N must be >= 1");
+  WB_CHECK(attach_pct >= 0 && attach_pct <= 100);
   Rng rng(seed);
   GraphBuilder b(n);
   for (std::size_t i = 2; i <= n; ++i) {
@@ -265,7 +266,8 @@ Graph random_forest(std::size_t n, int attach_pct, std::uint64_t seed) {
 
 Graph random_k_degenerate(std::size_t n, int k, int sparse_pct,
                           std::uint64_t seed) {
-  WB_CHECK(n >= 1 && k >= 0 && sparse_pct >= 0 && sparse_pct <= 100);
+  WB_REQUIRE_MSG(n >= 1, "kdeg N must be >= 1");
+  WB_CHECK(k >= 0 && sparse_pct >= 0 && sparse_pct <= 100);
   Rng rng(seed);
   GraphBuilder b(n);
   for (std::size_t i = 2; i <= n; ++i) {
@@ -301,6 +303,7 @@ Graph erdos_renyi(std::size_t n, std::uint64_t p_num, std::uint64_t p_den,
 
 Graph connected_gnp(std::size_t n, std::uint64_t p_num, std::uint64_t p_den,
                     std::uint64_t seed) {
+  WB_REQUIRE_MSG(n >= 1, "cgnp N must be >= 1");
   Rng rng(seed);
   Graph tree = random_tree(n, rng.next());
   GraphBuilder b(n);
@@ -346,7 +349,7 @@ Graph random_even_odd_bipartite(std::size_t n, std::uint64_t p_num,
 
 Graph connected_even_odd_bipartite(std::size_t n, std::uint64_t p_num,
                                    std::uint64_t p_den, std::uint64_t seed) {
-  WB_CHECK(n >= 2);
+  WB_REQUIRE_MSG(n >= 2, "ceob N must be >= 2");
   Rng rng(seed);
   GraphBuilder g(n);
   // Alternating spanning tree: attach each node to a random earlier node of
@@ -413,8 +416,8 @@ Rng stream_rng(std::uint64_t base, std::size_t i) {
 
 Graph rmat_graph(int scale, std::size_t edge_factor, std::uint64_t seed,
                  Graph::BuildStats* stats) {
-  WB_CHECK_MSG(scale >= 1 && scale <= 28, "rmat scale out of range 1..28");
-  WB_CHECK_MSG(edge_factor >= 1, "rmat edge factor must be >= 1");
+  WB_REQUIRE_MSG(scale >= 1 && scale <= 28, "rmat scale out of range 1..28");
+  WB_REQUIRE_MSG(edge_factor >= 1, "rmat edge factor must be >= 1");
   const std::size_t n = std::size_t{1} << scale;
   const std::size_t samples = n * edge_factor;
   const std::uint64_t base = mix64(seed);
@@ -440,8 +443,8 @@ Graph rmat_graph(int scale, std::size_t edge_factor, std::uint64_t seed,
 
 Graph random_power_law(std::size_t n, std::size_t edge_factor, double exponent,
                        std::uint64_t seed, Graph::BuildStats* stats) {
-  WB_CHECK_MSG(n >= 1, "power-law graph needs at least one node");
-  WB_CHECK_MSG(edge_factor >= 1, "power-law edge factor must be >= 1");
+  WB_REQUIRE_MSG(n >= 1, "powerlaw N must be >= 1");
+  WB_REQUIRE_MSG(edge_factor >= 1, "powerlaw edge factor must be >= 1");
   WB_CHECK_MSG(exponent > 1.0, "power-law exponent must exceed 1");
   // Chung–Lu weights w_i = i^(-1/(exponent-1)); endpoints sampled by binary
   // search on the cumulative weights.

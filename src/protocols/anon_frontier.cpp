@@ -11,12 +11,6 @@ std::size_t AnonDegreeProtocol::message_bit_limit(std::size_t n) const {
   return static_cast<std::size_t>(codec::id_bits(n));
 }
 
-Bits AnonDegreeProtocol::compose(const LocalView& view,
-                                 const Whiteboard& board) const {
-  BitWriter w;
-  return compose(view, board, w);
-}
-
 Bits AnonDegreeProtocol::compose(const LocalView& view, const Whiteboard&,
                                  BitWriter& scratch) const {
   scratch.write_uint(view.degree(), codec::id_bits(view.n()));

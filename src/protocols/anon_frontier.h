@@ -33,8 +33,6 @@ using AnonDegreeOutput = std::vector<std::size_t>;
 class AnonDegreeProtocol final : public SimSyncProtocol<AnonDegreeOutput> {
  public:
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
-  [[nodiscard]] Bits compose(const LocalView& view,
-                             const Whiteboard& board) const override;
   [[nodiscard]] Bits compose(const LocalView& view, const Whiteboard& board,
                              BitWriter& scratch) const override;
   [[nodiscard]] AnonDegreeOutput output(const Whiteboard& board,

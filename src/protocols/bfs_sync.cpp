@@ -128,12 +128,6 @@ bool SyncBfsProtocol::activate(const LocalView& view,
          is_min_unwritten(view, p);
 }
 
-Bits SyncBfsProtocol::compose(const LocalView& view,
-                              const Whiteboard& board) const {
-  BitWriter w;
-  return compose(view, board, w);
-}
-
 Bits SyncBfsProtocol::compose(const LocalView& view, const Whiteboard& board,
                               BitWriter& scratch) const {
   const std::size_t n = view.n();

@@ -40,8 +40,6 @@ class SyncBfsProtocol final : public ProtocolWithOutput<BfsProtocolOutput> {
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
   [[nodiscard]] bool activate(const LocalView& view,
                               const Whiteboard& board) const override;
-  [[nodiscard]] Bits compose(const LocalView& view,
-                             const Whiteboard& board) const override;
   [[nodiscard]] Bits compose(const LocalView& view, const Whiteboard& board,
                              BitWriter& scratch) const override;
   [[nodiscard]] BfsProtocolOutput output(const Whiteboard& board,

@@ -11,7 +11,7 @@ namespace wb {
 BuildDegenerateProtocol::BuildDegenerateProtocol(int k,
                                                  DegenerateDecoder decoder)
     : k_(k), decoder_(decoder) {
-  WB_CHECK_MSG(k >= 1 && k <= 5, "supported degeneracy range is 1..5");
+  WB_REQUIRE_MSG(k >= 1 && k <= 5, "build-degenerate K must be in 1..5");
 }
 
 std::string BuildDegenerateProtocol::name() const {
@@ -26,11 +26,6 @@ std::size_t BuildDegenerateProtocol::message_bit_limit(std::size_t n) const {
     bits += static_cast<std::size_t>(codec::power_sum_bits(n, p));
   }
   return bits;
-}
-
-Bits BuildDegenerateProtocol::compose_initial(const LocalView& view) const {
-  BitWriter w;
-  return compose_initial(view, w);
 }
 
 Bits BuildDegenerateProtocol::compose_initial(const LocalView& view,

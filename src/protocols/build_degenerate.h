@@ -31,7 +31,6 @@ class BuildDegenerateProtocol final : public SimAsyncProtocol<BuildOutput> {
       int k, DegenerateDecoder decoder = DegenerateDecoder::kNewton);
 
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
-  [[nodiscard]] Bits compose_initial(const LocalView& view) const override;
   [[nodiscard]] Bits compose_initial(const LocalView& view,
                                      BitWriter& scratch) const override;
   [[nodiscard]] BuildOutput output(const Whiteboard& board,

@@ -22,11 +22,6 @@ std::size_t BuildForestProtocol::message_bit_limit(std::size_t n) const {
                                   sum_bits(n));
 }
 
-Bits BuildForestProtocol::compose_initial(const LocalView& view) const {
-  BitWriter w;
-  return compose_initial(view, w);
-}
-
 Bits BuildForestProtocol::compose_initial(const LocalView& view,
                                           BitWriter& w) const {
   const std::size_t n = view.n();

@@ -18,7 +18,6 @@ namespace wb {
 class BuildForestProtocol final : public SimAsyncProtocol<BuildOutput> {
  public:
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
-  [[nodiscard]] Bits compose_initial(const LocalView& view) const override;
   [[nodiscard]] Bits compose_initial(const LocalView& view,
                                      BitWriter& scratch) const override;
   [[nodiscard]] BuildOutput output(const Whiteboard& board,

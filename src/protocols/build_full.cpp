@@ -10,11 +10,6 @@ std::size_t BuildFullProtocol::message_bit_limit(std::size_t n) const {
   return static_cast<std::size_t>(codec::id_bits(n)) + n;
 }
 
-Bits BuildFullProtocol::compose_initial(const LocalView& view) const {
-  BitWriter w;
-  return compose_initial(view, w);
-}
-
 Bits BuildFullProtocol::compose_initial(const LocalView& view,
                                         BitWriter& w) const {
   const std::size_t n = view.n();

@@ -16,7 +16,6 @@ namespace wb {
 class BuildFullProtocol final : public SimAsyncProtocol<Graph> {
  public:
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
-  [[nodiscard]] Bits compose_initial(const LocalView& view) const override;
   [[nodiscard]] Bits compose_initial(const LocalView& view,
                                      BitWriter& scratch) const override;
   [[nodiscard]] Graph output(const Whiteboard& board,

@@ -147,12 +147,6 @@ bool EobBfsProtocol::activate(const LocalView& view,
          is_min_unwritten(view, p);
 }
 
-Bits EobBfsProtocol::compose(const LocalView& view,
-                             const Whiteboard& board) const {
-  BitWriter scratch;
-  return compose(view, board, scratch);
-}
-
 Bits EobBfsProtocol::compose(const LocalView& view, const Whiteboard& board,
                              BitWriter& w) const {
   const std::size_t n = view.n();

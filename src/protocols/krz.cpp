@@ -32,11 +32,6 @@ std::size_t KrzTriangleProtocol::message_bit_limit(std::size_t n) const {
          (n - 1) * static_cast<std::size_t>(codec::id_bits(n));
 }
 
-Bits KrzTriangleProtocol::compose_initial(const LocalView& view) const {
-  BitWriter w;
-  return compose_initial(view, w);
-}
-
 Bits KrzTriangleProtocol::compose_initial(const LocalView& view,
                                           BitWriter& w) const {
   const std::size_t n = view.n();

@@ -37,7 +37,6 @@ class KrzTriangleProtocol final : public SimAsyncProtocol<bool> {
                       std::uint64_t seed);
 
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
-  [[nodiscard]] Bits compose_initial(const LocalView& view) const override;
   [[nodiscard]] Bits compose_initial(const LocalView& view,
                                      BitWriter& scratch) const override;
   [[nodiscard]] bool output(const Whiteboard& board,

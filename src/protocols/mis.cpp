@@ -27,12 +27,6 @@ std::size_t RootedMisProtocol::message_bit_limit(std::size_t n) const {
   return static_cast<std::size_t>(codec::id_bits(n)) + 1;
 }
 
-Bits RootedMisProtocol::compose(const LocalView& view,
-                                const Whiteboard& board) const {
-  BitWriter w;
-  return compose(view, board, w);
-}
-
 Bits RootedMisProtocol::compose(const LocalView& view, const Whiteboard& board,
                                 BitWriter& scratch) const {
   const std::size_t n = view.n();
@@ -71,9 +65,9 @@ std::size_t MisOracleProtocol::message_bit_limit(std::size_t n) const {
   return static_cast<std::size_t>(codec::id_bits(n)) + n;
 }
 
-Bits MisOracleProtocol::compose_initial(const LocalView& view) const {
+Bits MisOracleProtocol::compose_initial(const LocalView& view,
+                                        BitWriter& w) const {
   const std::size_t n = view.n();
-  BitWriter w;
   codec::write_id(w, view.id(), n);
   for (NodeId u = 1; u <= n; ++u) w.write_bit(view.has_neighbor(u));
   return w.take();

@@ -25,8 +25,6 @@ class RootedMisProtocol final : public SimSyncProtocol<MisOutput> {
   }
 
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
-  [[nodiscard]] Bits compose(const LocalView& view,
-                             const Whiteboard& board) const override;
   [[nodiscard]] Bits compose(const LocalView& view, const Whiteboard& board,
                              BitWriter& scratch) const override;
   [[nodiscard]] MisOutput output(const Whiteboard& board,
@@ -49,7 +47,8 @@ class MisOracleProtocol final : public SimAsyncProtocol<MisOutput> {
   explicit MisOracleProtocol(NodeId root) : root_(root) { WB_CHECK(root >= 1); }
 
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
-  [[nodiscard]] Bits compose_initial(const LocalView& view) const override;
+  [[nodiscard]] Bits compose_initial(const LocalView& view,
+                                     BitWriter& scratch) const override;
   [[nodiscard]] MisOutput output(const Whiteboard& board,
                                  std::size_t n) const override;
   [[nodiscard]] std::string name() const override { return "mis-oracle"; }

@@ -19,11 +19,6 @@ std::size_t PropertyOracleProtocol::message_bit_limit(std::size_t n) const {
   return static_cast<std::size_t>(codec::id_bits(n)) + n;
 }
 
-Bits PropertyOracleProtocol::compose_initial(const LocalView& view) const {
-  BitWriter w;
-  return compose_initial(view, w);
-}
-
 Bits PropertyOracleProtocol::compose_initial(const LocalView& view,
                                              BitWriter& scratch) const {
   const std::size_t n = view.n();

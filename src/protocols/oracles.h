@@ -35,7 +35,6 @@ class PropertyOracleProtocol final : public SimAsyncProtocol<bool> {
   PropertyOracleProtocol(std::string name, Predicate predicate);
 
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
-  [[nodiscard]] Bits compose_initial(const LocalView& view) const override;
   [[nodiscard]] Bits compose_initial(const LocalView& view,
                                      BitWriter& scratch) const override;
   [[nodiscard]] bool output(const Whiteboard& board,
@@ -75,10 +74,6 @@ class SpanningForestProtocol final
   [[nodiscard]] bool activate(const LocalView& view,
                               const Whiteboard& board) const override {
     return bfs_.activate(view, board);
-  }
-  [[nodiscard]] Bits compose(const LocalView& view,
-                             const Whiteboard& board) const override {
-    return bfs_.compose(view, board);
   }
   [[nodiscard]] Bits compose(const LocalView& view, const Whiteboard& board,
                              BitWriter& scratch) const override {

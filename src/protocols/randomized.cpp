@@ -51,12 +51,6 @@ std::size_t RandomizedTwoCliquesProtocol::message_bit_limit(
   return static_cast<std::size_t>(codec::id_bits(n)) + kFingerprintBits;
 }
 
-Bits RandomizedTwoCliquesProtocol::compose_initial(
-    const LocalView& view) const {
-  BitWriter w;
-  return compose_initial(view, w);
-}
-
 Bits RandomizedTwoCliquesProtocol::compose_initial(const LocalView& view,
                                                    BitWriter& scratch) const {
   const std::size_t n = view.n();

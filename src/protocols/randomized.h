@@ -46,7 +46,6 @@ class RandomizedTwoCliquesProtocol final
   explicit RandomizedTwoCliquesProtocol(std::uint64_t shared_seed);
 
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
-  [[nodiscard]] Bits compose_initial(const LocalView& view) const override;
   [[nodiscard]] Bits compose_initial(const LocalView& view,
                                      BitWriter& scratch) const override;
   [[nodiscard]] TwoCliquesOutput output(const Whiteboard& board,

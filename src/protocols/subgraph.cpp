@@ -11,11 +11,6 @@ std::size_t SubgraphProtocol::message_bit_limit(std::size_t n) const {
   return static_cast<std::size_t>(codec::id_bits(n)) + std::min(f_, n);
 }
 
-Bits SubgraphProtocol::compose_initial(const LocalView& view) const {
-  BitWriter w;
-  return compose_initial(view, w);
-}
-
 Bits SubgraphProtocol::compose_initial(const LocalView& view,
                                        BitWriter& w) const {
   const std::size_t n = view.n();

@@ -19,10 +19,11 @@ namespace wb {
 class SubgraphProtocol final : public SimAsyncProtocol<Graph> {
  public:
   /// `f` = the prefix size f(n) for the instances this protocol runs on.
-  explicit SubgraphProtocol(std::size_t f) : f_(f) { WB_CHECK(f >= 1); }
+  explicit SubgraphProtocol(std::size_t f) : f_(f) {
+    WB_REQUIRE_MSG(f >= 1, "subgraph F must be >= 1");
+  }
 
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
-  [[nodiscard]] Bits compose_initial(const LocalView& view) const override;
   [[nodiscard]] Bits compose_initial(const LocalView& view,
                                      BitWriter& scratch) const override;
   /// The subgraph on {1..n} whose edges are G's edges within {1..f}.

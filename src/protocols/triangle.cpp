@@ -16,11 +16,6 @@ std::size_t TriangleOracleProtocol::message_bit_limit(std::size_t n) const {
   return static_cast<std::size_t>(codec::id_bits(n)) + n;
 }
 
-Bits TriangleOracleProtocol::compose_initial(const LocalView& view) const {
-  BitWriter w;
-  return compose_initial(view, w);
-}
-
 Bits TriangleOracleProtocol::compose_initial(const LocalView& view,
                                              BitWriter& w) const {
   const std::size_t n = view.n();
@@ -140,12 +135,6 @@ std::size_t TrianglePairChaseProtocol::message_bit_limit(std::size_t n) const {
 }
 
 Bits TrianglePairChaseProtocol::compose(const LocalView& view,
-                                        const Whiteboard& board) const {
-  BitWriter w;
-  return compose(view, board, w);
-}
-
-Bits TrianglePairChaseProtocol::compose(const LocalView& view,
                                         const Whiteboard& board,
                                         BitWriter& w) const {
   const std::size_t n = view.n();
@@ -191,12 +180,13 @@ TriangleVerdict TrianglePairChaseProtocol::output(const Whiteboard& board,
   for (const Bits& m : board.messages()) order.push_back(parse(m, n).id);
 
   bool any_yes = false, any_no = false, any_consistent = false;
+  BitWriter w;  // one scratch writer for every replayed message
   for_each_labeled_graph(n, [&](const Graph& h) {
     Whiteboard prefix;
     for (std::size_t t = 0; t < order.size(); ++t) {
       const NodeId v = order[t];
       const LocalView hview(v, h.neighbors(v), n);
-      if (!(compose(hview, prefix) == board.message(t))) return;
+      if (!(compose(hview, prefix, w) == board.message(t))) return;
       prefix.append(board.message(t));
     }
     any_consistent = true;

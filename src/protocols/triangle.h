@@ -34,7 +34,6 @@ namespace wb {
 class TriangleOracleProtocol final : public SimAsyncProtocol<bool> {
  public:
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
-  [[nodiscard]] Bits compose_initial(const LocalView& view) const override;
   [[nodiscard]] Bits compose_initial(const LocalView& view,
                                      BitWriter& scratch) const override;
   [[nodiscard]] bool output(const Whiteboard& board,
@@ -53,8 +52,6 @@ class TrianglePairChaseProtocol final
   }
 
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
-  [[nodiscard]] Bits compose(const LocalView& view,
-                             const Whiteboard& board) const override;
   [[nodiscard]] Bits compose(const LocalView& view, const Whiteboard& board,
                              BitWriter& scratch) const override;
   [[nodiscard]] TriangleVerdict output(const Whiteboard& board,

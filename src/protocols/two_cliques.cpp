@@ -64,12 +64,6 @@ std::size_t TwoCliquesProtocol::message_bit_limit(std::size_t n) const {
 }
 
 Bits TwoCliquesProtocol::compose(const LocalView& view,
-                                 const Whiteboard& board) const {
-  BitWriter w;
-  return compose(view, board, w);
-}
-
-Bits TwoCliquesProtocol::compose(const LocalView& view,
                                  const Whiteboard& board,
                                  BitWriter& scratch) const {
   const std::size_t n = view.n();

@@ -21,8 +21,6 @@ namespace wb {
 class TwoCliquesProtocol final : public SimSyncProtocol<TwoCliquesOutput> {
  public:
   [[nodiscard]] std::size_t message_bit_limit(std::size_t n) const override;
-  [[nodiscard]] Bits compose(const LocalView& view,
-                             const Whiteboard& board) const override;
   [[nodiscard]] Bits compose(const LocalView& view, const Whiteboard& board,
                              BitWriter& scratch) const override;
   [[nodiscard]] TwoCliquesOutput output(const Whiteboard& board,

@@ -59,13 +59,9 @@ class SimAsyncInSimSync final : public ProtocolWithOutput<OutputT> {
   bool activate(const LocalView&, const Whiteboard&) const override {
     return true;
   }
-  Bits compose(const LocalView& view, const Whiteboard&) const override {
-    const Whiteboard empty;
-    return inner_->compose(view, empty);  // ignore everything written so far
-  }
   Bits compose(const LocalView& view, const Whiteboard&,
                BitWriter& scratch) const override {
-    const Whiteboard empty;
+    const Whiteboard empty;  // ignore everything written so far
     return inner_->compose(view, empty, scratch);
   }
   OutputT output(const Whiteboard& board, std::size_t n) const override {
@@ -97,9 +93,6 @@ class SimSyncInAsync final : public ProtocolWithOutput<OutputT> {
     // active at any time, so the adversary is forced into ID order.
     return board.message_count() + 1 == view.id();
   }
-  Bits compose(const LocalView& view, const Whiteboard& board) const override {
-    return inner_->compose(view, board);
-  }
   Bits compose(const LocalView& view, const Whiteboard& board,
                BitWriter& scratch) const override {
     return inner_->compose(view, board, scratch);
@@ -129,14 +122,10 @@ class AsyncInSync final : public ProtocolWithOutput<OutputT> {
   bool activate(const LocalView& view, const Whiteboard& board) const override {
     return inner_->activate(view, board);
   }
-  Bits compose(const LocalView& view, const Whiteboard& board) const override {
-    // SYNC composes at write time; composing from the activation-time
-    // prefix returns the same bits the ASYNC run would have frozen.
-    const Whiteboard prefix = detail::activation_prefix(*inner_, view, board);
-    return inner_->compose(view, prefix);
-  }
   Bits compose(const LocalView& view, const Whiteboard& board,
                BitWriter& scratch) const override {
+    // SYNC composes at write time; composing from the activation-time
+    // prefix returns the same bits the ASYNC run would have frozen.
     const Whiteboard prefix = detail::activation_prefix(*inner_, view, board);
     return inner_->compose(view, prefix, scratch);
   }
@@ -171,19 +160,12 @@ class Rebadge final : public ProtocolWithOutput<OutputT> {
   bool activate(const LocalView& view, const Whiteboard& board) const override {
     return inner_->activate(view, board);
   }
-  Bits compose(const LocalView& view, const Whiteboard& board) const override {
+  Bits compose(const LocalView& view, const Whiteboard& board,
+               BitWriter& scratch) const override {
     if (inner_->model_class() == ModelClass::kSimAsync) {
       // A SIMASYNC compose may only see the empty board; under free
       // activation the node still activates in round one, so this holds, but
       // we normalize defensively.
-      const Whiteboard empty;
-      return inner_->compose(view, empty);
-    }
-    return inner_->compose(view, board);
-  }
-  Bits compose(const LocalView& view, const Whiteboard& board,
-               BitWriter& scratch) const override {
-    if (inner_->model_class() == ModelClass::kSimAsync) {
       const Whiteboard empty;
       return inner_->compose(view, empty, scratch);
     }

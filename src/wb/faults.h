@@ -178,10 +178,6 @@ class CrashStopAdapter final : public Protocol {
   }
   [[nodiscard]] bool activate(const LocalView& view,
                               const Whiteboard& board) const override;
-  [[nodiscard]] Bits compose(const LocalView& view,
-                             const Whiteboard& board) const override {
-    return inner_.compose(view, board);
-  }
   [[nodiscard]] Bits compose(const LocalView& view, const Whiteboard& board,
                              BitWriter& scratch) const override {
     return inner_.compose(view, board, scratch);
@@ -248,10 +244,6 @@ class CorruptingAdapter final : public Protocol {
   [[nodiscard]] bool activate(const LocalView& view,
                               const Whiteboard& board) const override {
     return inner_.activate(view, board);
-  }
-  [[nodiscard]] Bits compose(const LocalView& view,
-                             const Whiteboard& board) const override {
-    return model_.apply(inner_.compose(view, board), view.id());
   }
   [[nodiscard]] Bits compose(const LocalView& view, const Whiteboard& board,
                              BitWriter& scratch) const override {

@@ -65,22 +65,24 @@ class Protocol {
                                       const Whiteboard& board) const = 0;
 
   /// msg: message an active node stores in local memory, as a pure function
-  /// of (view, whiteboard). See the class-semantics notes above for when the
-  /// engine calls this.
-  [[nodiscard]] virtual Bits compose(const LocalView& view,
-                                     const Whiteboard& board) const = 0;
-
-  /// Scratch-writer overload — the one the engine actually calls. `scratch`
+  /// of (view, whiteboard) — the one hook a protocol implements. `scratch`
   /// arrives empty; implementations append their bits and `return
   /// scratch.take()`, so a message that fits Bits' inline buffer costs no
-  /// heap allocation (the writer's capacity persists across the whole run).
-  /// The default forwards to the allocating overload above, letting protocol
-  /// subclasses migrate incrementally; semantics must be identical.
+  /// heap allocation (the engine keeps one writer for the whole run). See the
+  /// class-semantics notes above for when the engine calls this.
   [[nodiscard]] virtual Bits compose(const LocalView& view,
                                      const Whiteboard& board,
-                                     BitWriter& scratch) const {
-    (void)scratch;
-    return compose(view, board);
+                                     BitWriter& scratch) const = 0;
+
+  /// Convenience for one-off callers (reductions, tests): the same message
+  /// through a fresh writer. Protocols do not override it. It stays virtual
+  /// only because the benchmark's call-timing decorator (CountingProtocol in
+  /// perfbench/traced.cpp) overrides both forms. A class that declares the
+  /// hook above hides this name: call it through `const Protocol&`.
+  [[nodiscard]] virtual Bits compose(const LocalView& view,
+                                     const Whiteboard& board) const {
+    BitWriter w;
+    return compose(view, board, w);
   }
 
   /// Which activation shortcuts this protocol's functions admit. The default
@@ -109,7 +111,8 @@ class ProtocolWithOutput : public Protocol {
 
 /// Convenience base for SIMASYNC protocols: activation is unconditional and
 /// the single message may depend only on local knowledge (the whiteboard is
-/// still empty when every node composes).
+/// still empty when every node composes). Subclasses implement
+/// compose_initial(); the two-argument compose stays reachable on them.
 template <typename OutputT>
 class SimAsyncProtocol : public ProtocolWithOutput<OutputT> {
  public:
@@ -119,12 +122,7 @@ class SimAsyncProtocol : public ProtocolWithOutput<OutputT> {
   [[nodiscard]] bool activate(const LocalView&, const Whiteboard&) const final {
     return true;
   }
-  [[nodiscard]] Bits compose(const LocalView& view,
-                             const Whiteboard& board) const final {
-    WB_CHECK_MSG(board.empty(),
-                 "SIMASYNC compose must only ever see the empty whiteboard");
-    return compose_initial(view);
-  }
+  using Protocol::compose;
   [[nodiscard]] Bits compose(const LocalView& view, const Whiteboard& board,
                              BitWriter& scratch) const final {
     WB_CHECK_MSG(board.empty(),
@@ -132,16 +130,10 @@ class SimAsyncProtocol : public ProtocolWithOutput<OutputT> {
     return compose_initial(view, scratch);
   }
 
-  /// The one message of node `view.id()`, from local knowledge only.
-  [[nodiscard]] virtual Bits compose_initial(const LocalView& view) const = 0;
-
-  /// Scratch-writer variant; default forwards to the allocating one so
-  /// subclasses migrate incrementally (mirrors Protocol::compose).
+  /// The one message of node `view.id()`, from local knowledge only, written
+  /// into `scratch` exactly as Protocol::compose's hook is.
   [[nodiscard]] virtual Bits compose_initial(const LocalView& view,
-                                             BitWriter& scratch) const {
-    (void)scratch;
-    return compose_initial(view);
-  }
+                                             BitWriter& scratch) const = 0;
 };
 
 /// Convenience base for SIMSYNC protocols: activation unconditional, message

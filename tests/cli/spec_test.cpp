@@ -309,19 +309,38 @@ TEST(GraphSpec, Errors) {
 }
 
 TEST(GraphSpec, NarrowedParametersAreRangeChecked) {
-  // Each value used to wrap: rmat:2^32+4 built scale 4, and so on.
-  expect_refusal_naming([] { (void)graph_from_spec("rmat:4294967300:2:1"); },
-                        "scale");
-  expect_refusal_naming(
-      [] { (void)graph_from_spec("kdeg:20:4294967298:20:3"); }, "K");
-  expect_refusal_naming(
-      [] { (void)graph_from_spec("kdeg:20:2:4294967316:3"); }, "percent");
-  expect_refusal_naming([] { (void)graph_from_spec("kdeg:20:2:101:3"); },
-                        "percent");
-  expect_refusal_naming(
-      [] { (void)graph_from_spec("forest:20:4294967376:3"); }, "percent");
-  expect_refusal_naming([] { (void)graph_from_spec("forest:20:101:3"); },
-                        "percent");
+  // Each refusal is a DataError (CLI exit 2) naming the parameter. The
+  // narrowed values used to wrap (rmat:2^32+4 built scale 4, and so on);
+  // the size minima used to fail an internal check (exit 3).
+  const std::pair<const char*, const char*> cases[] = {
+      {"rmat:4294967300:2:1", "scale"},
+      {"kdeg:20:4294967298:20:3", "K"},
+      {"kdeg:20:2:4294967316:3", "percent"},
+      {"kdeg:20:2:101:3", "percent"},
+      {"forest:20:4294967376:3", "percent"},
+      {"forest:20:101:3", "percent"},
+      {"path:0", "N"},
+      {"cycle:2", "N"},
+      {"star:0", "N"},
+      {"grid:0x3", "rows"},
+      {"grid:3x0", "cols"},
+      {"twocliques:0", "N"},
+      {"switched:2", "N"},
+      {"tree:0:1", "N"},
+      {"forest:0:50:1", "N"},
+      {"kdeg:0:2:20:1", "N"},
+      {"cgnp:0:1/2:1", "N"},
+      {"ceob:1:1/2:1", "N"},
+      {"rmat:0:1:1", "scale"},
+      {"rmat:29:1:1", "scale"},
+      {"rmat:2:0:1", "edge factor"},
+      {"powerlaw:0:2:1", "N"},
+      {"powerlaw:3:0:1", "edge factor"},
+  };
+  for (const auto& [spec, field] : cases) {
+    SCOPED_TRACE(spec);
+    expect_refusal_naming([spec] { (void)graph_from_spec(spec); }, field);
+  }
 }
 
 TEST(ProtocolSpec, NarrowedParametersAreRangeChecked) {
@@ -336,6 +355,10 @@ TEST(ProtocolSpec, NarrowedParametersAreRangeChecked) {
   expect_refusal_naming([&] { run("mis:4294967297"); }, "root");
   expect_refusal_naming([&] { run("broken-first:4294967297"); }, "V");
   expect_refusal_naming([&] { run("diameter-oracle:4294967299"); }, "D");
+  // Out-of-range protocol parameters used to fail an internal check.
+  expect_refusal_naming([&] { run("subgraph:0"); }, "F");
+  expect_refusal_naming([&] { run("build-degenerate:0"); }, "K");
+  expect_refusal_naming([&] { run("build-degenerate:6"); }, "K");
 }
 
 TEST(GraphSpec, ScaleFamilies) {

@@ -194,9 +194,9 @@ TEST(Rmat, ReportsBuildStats) {
 }
 
 TEST(Rmat, RejectsBadParameters) {
-  EXPECT_THROW((void)rmat_graph(0, 8, 1), LogicError);
-  EXPECT_THROW((void)rmat_graph(29, 8, 1), LogicError);
-  EXPECT_THROW((void)rmat_graph(8, 0, 1), LogicError);
+  EXPECT_THROW((void)rmat_graph(0, 8, 1), DataError);
+  EXPECT_THROW((void)rmat_graph(29, 8, 1), DataError);
+  EXPECT_THROW((void)rmat_graph(8, 0, 1), DataError);
 }
 
 TEST(PowerLaw, SeedDeterministicAndSkewed) {

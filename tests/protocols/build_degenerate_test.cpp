@@ -178,8 +178,8 @@ TEST(BuildDegenerate, CorruptedPowerSumsRaiseDataError) {
 }
 
 TEST(BuildDegenerate, RejectsUnsupportedK) {
-  EXPECT_THROW(BuildDegenerateProtocol(0), LogicError);
-  EXPECT_THROW(BuildDegenerateProtocol(6), LogicError);
+  EXPECT_THROW(BuildDegenerateProtocol(0), DataError);
+  EXPECT_THROW(BuildDegenerateProtocol(6), DataError);
 }
 
 }  // namespace

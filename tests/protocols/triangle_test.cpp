@@ -166,10 +166,12 @@ TEST(TrianglePairChase, CertificateWithARepeatedEndpointIsADataError) {
   const Graph g = complete_graph(n);
   const LocalView view(4, g.neighbors(4), n);
   // Node 2's certificate with y == id, x == id, and x == y.
+  BitWriter scratch;
   for (const auto& [x, y] : {std::pair<NodeId, NodeId>{1, 2}, {2, 3}, {3, 3}}) {
     Whiteboard board;
     board.append(certificate(2, x, y));
-    EXPECT_THROW((void)p.compose(view, board), DataError) << x << " " << y;
+    EXPECT_THROW((void)p.compose(view, board, scratch), DataError)
+        << x << " " << y;
     EXPECT_THROW((void)p.output(board, n), DataError) << x << " " << y;
   }
   Whiteboard sound;

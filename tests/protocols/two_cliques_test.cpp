@@ -119,7 +119,7 @@ Bits scan_compose(const LocalView& view, const Whiteboard& board) {
 
 /// Every node's compose on the engine's current board equals the scan.
 void expect_compose_matches_scan(const EngineState& s, const Graph& g,
-                                 const TwoCliquesProtocol& p) {
+                                 const Protocol& p) {
   for (NodeId v = 1; v <= g.node_count(); ++v) {
     const LocalView view(v, g.neighbors(v), g.node_count());
     ASSERT_TRUE(p.compose(view, s.board()) == scan_compose(view, s.board()))
@@ -169,7 +169,8 @@ Bits clique_message(std::uint64_t raw_id, std::uint64_t code, std::size_t n) {
 
 TEST(TwoCliques, CachedComposeMatchesTheScanOnCorruptedBoards) {
   constexpr std::size_t n = 5;
-  const TwoCliquesProtocol p;
+  const TwoCliquesProtocol two_cliques;
+  const Protocol& p = two_cliques;  // the two-argument compose
   const std::vector<NodeId> neighbors = {2, 3};
   const LocalView view(1, neighbors, n);
   const auto same = [&](const Whiteboard& board) {

@@ -117,10 +117,6 @@ class ComposeCounter final : public Protocol {
   bool activate(const LocalView& view, const Whiteboard& board) const override {
     return inner_.activate(view, board);
   }
-  Bits compose(const LocalView& view, const Whiteboard& board) const override {
-    ++calls;
-    return inner_.compose(view, board);
-  }
   Bits compose(const LocalView& view, const Whiteboard& board,
                BitWriter& scratch) const override {
     ++calls;

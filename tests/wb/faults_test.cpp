@@ -375,11 +375,10 @@ class ThrowingComposeProtocol final : public ProtocolWithOutput<int> {
   bool activate(const LocalView&, const Whiteboard&) const override {
     return true;
   }
-  Bits compose(const LocalView& view,
-               const Whiteboard& board) const override {
+  Bits compose(const LocalView& view, const Whiteboard& board,
+               BitWriter& w) const override {
     WB_REQUIRE_MSG(board.message_count() == 0,
                    "refusing to read a non-empty board");
-    BitWriter w;
     w.write_uint(view.id(), 8);
     return w.take();
   }

@@ -706,6 +706,13 @@ TEST(ShardFormats, MalformedSpecsAreRejectedWithDiagnostics) {
                                            "edge 2 3\nedge 1 2")},
       {"node count past the id range",
        replace_first(valid, "graph 3 2", "graph 4294967299 2")},
+      // Refused before the graph is built: 4e9 nodes would ask for ~32 GB
+      // of CSR offsets.
+      {"node count past the cap",
+       replace_first(valid, "graph 3 2", "graph 4000000000 2")},
+      {"node count one past the cap",
+       replace_first(valid, "graph 3 2",
+                     "graph " + std::to_string(shard::kMaxNodes + 1) + " 2")},
       {"missing faults line", replace_first(valid, "faults none\n", "")},
       {"shard index out of range", replace_first(valid, "shard 0 2",
                                                  "shard 2 2")},

@@ -16,10 +16,6 @@ class EchoIdProtocol final : public SimAsyncProtocol<std::size_t> {
   std::size_t message_bit_limit(std::size_t n) const override {
     return static_cast<std::size_t>(codec::id_bits(n));
   }
-  Bits compose_initial(const LocalView& view) const override {
-    BitWriter w;
-    return compose_initial(view, w);
-  }
   Bits compose_initial(const LocalView& view, BitWriter& w) const override {
     codec::write_id(w, view.id(), view.n());
     return w.take();
@@ -40,7 +36,8 @@ class LazySimSyncProtocol final : public ProtocolWithOutput<int> {
   bool activate(const LocalView&, const Whiteboard&) const override {
     return false;  // violates "all nodes active after the first round"
   }
-  Bits compose(const LocalView&, const Whiteboard&) const override {
+  Bits compose(const LocalView&, const Whiteboard&,
+               BitWriter&) const override {
     return Bits{};
   }
   int output(const Whiteboard&, std::size_t) const override { return 0; }
@@ -51,8 +48,7 @@ class LazySimSyncProtocol final : public ProtocolWithOutput<int> {
 class OversizeProtocol final : public SimAsyncProtocol<int> {
  public:
   std::size_t message_bit_limit(std::size_t) const override { return 4; }
-  Bits compose_initial(const LocalView&) const override {
-    BitWriter w;
+  Bits compose_initial(const LocalView&, BitWriter& w) const override {
     w.write_uint(0, 16);
     return w.take();
   }
@@ -71,8 +67,8 @@ class OnlyFirstNodeProtocol final : public ProtocolWithOutput<int> {
   bool activate(const LocalView& view, const Whiteboard&) const override {
     return view.id() == 1;
   }
-  Bits compose(const LocalView& view, const Whiteboard&) const override {
-    BitWriter w;
+  Bits compose(const LocalView& view, const Whiteboard&,
+               BitWriter& w) const override {
     codec::write_id(w, view.id(), view.n());
     return w.take();
   }
@@ -91,10 +87,6 @@ class BoardSizeProtocol final : public ProtocolWithOutput<int> {
   }
   bool activate(const LocalView&, const Whiteboard&) const override {
     return true;
-  }
-  Bits compose(const LocalView& view, const Whiteboard& board) const override {
-    BitWriter w;
-    return compose(view, board, w);
   }
   Bits compose(const LocalView& view, const Whiteboard& board,
                BitWriter& w) const override {
@@ -121,8 +113,8 @@ class BoardSizeProtocol final : public ProtocolWithOutput<int> {
 class InOrderOnlyProtocol final : public SimSyncProtocol<int> {
  public:
   std::size_t message_bit_limit(std::size_t) const override { return 1; }
-  Bits compose(const LocalView& view, const Whiteboard& board) const override {
-    BitWriter w;
+  Bits compose(const LocalView& view, const Whiteboard& board,
+               BitWriter& w) const override {
     w.write_bit(true);
     if (board.message_count() + 1 != view.id()) w.write_bit(true);
     return w.take();
@@ -147,8 +139,8 @@ class MidRoundOverflowProtocol final : public ProtocolWithOutput<int> {
   bool activate(const LocalView& view, const Whiteboard& board) const override {
     return view.id() <= 2 || view.id() == view.n() || !board.empty();
   }
-  Bits compose(const LocalView& view, const Whiteboard& board) const override {
-    BitWriter w;
+  Bits compose(const LocalView& view, const Whiteboard& board,
+               BitWriter& w) const override {
     codec::write_id(w, view.id(), view.n());
     if (view.id() == 3 && !board.empty()) {
       BitReader r(board.message(0));
@@ -174,8 +166,8 @@ class FrozenBoardSizeProtocol final : public ProtocolWithOutput<int> {
   bool activate(const LocalView&, const Whiteboard&) const override {
     return true;
   }
-  Bits compose(const LocalView& view, const Whiteboard& board) const override {
-    BitWriter w;
+  Bits compose(const LocalView& view, const Whiteboard& board,
+               BitWriter& w) const override {
     codec::write_count(w, board.message_count(), view.n());
     return w.take();
   }
@@ -210,8 +202,8 @@ class RumorProtocol final : public ProtocolWithOutput<int> {
     }
     return false;
   }
-  Bits compose(const LocalView& view, const Whiteboard&) const override {
-    BitWriter w;
+  Bits compose(const LocalView& view, const Whiteboard&,
+               BitWriter& w) const override {
     codec::write_id(w, view.id(), view.n());
     return w.take();
   }
@@ -243,13 +235,13 @@ class GossipCountProtocol final : public ProtocolWithOutput<int> {
     }
     return false;
   }
-  Bits compose(const LocalView& view, const Whiteboard& board) const override {
+  Bits compose(const LocalView& view, const Whiteboard& board,
+               BitWriter& w) const override {
     std::size_t from_neighbors = 0;
     for (const Bits& m : board.messages()) {
       BitReader r(m);
       if (view.has_neighbor(codec::read_id(r, view.n()))) ++from_neighbors;
     }
-    BitWriter w;
     codec::write_id(w, view.id(), view.n());
     codec::write_count(w, from_neighbors, view.n());
     return w.take();
@@ -277,8 +269,8 @@ class GossipCountProtocol final : public ProtocolWithOutput<int> {
 class WriterBitProtocol final : public SimSyncProtocol<int> {
  public:
   std::size_t message_bit_limit(std::size_t) const override { return 1; }
-  Bits compose(const LocalView& view, const Whiteboard& board) const override {
-    BitWriter w;
+  Bits compose(const LocalView& view, const Whiteboard& board,
+               BitWriter& w) const override {
     w.write_bit(((view.id() >> (board.message_count() % 3)) & 1) != 0);
     return w.take();
   }
@@ -306,9 +298,6 @@ class WithoutLocality final : public Protocol {
   }
   bool activate(const LocalView& view, const Whiteboard& board) const override {
     return inner_.activate(view, board);
-  }
-  Bits compose(const LocalView& view, const Whiteboard& board) const override {
-    return inner_.compose(view, board);
   }
   Bits compose(const LocalView& view, const Whiteboard& board,
                BitWriter& scratch) const override {
