@@ -204,8 +204,8 @@ FaultClassifier make_fault_classifier(const ProtocolCase& c) {
 }
 
 /// `exhaustive:memoize` (wb::sweep_memoized): the serial one-task sweep —
-/// every judged sweep memoizes per task — whose adversary line reports the
-/// memo counters. The schedules/verdict lines are byte-identical to the
+/// every judged sweep memoizes — whose adversary line reports the memo
+/// counters, which only a one-task sweep keeps deterministic. The schedules/verdict lines are byte-identical to the
 /// serial sweep's.
 RunReport run_exhaustive_memoized(const ProtocolCase& c, const Graph& g,
                                   const ExhaustiveRunOptions& ropts) {

@@ -67,7 +67,7 @@ struct ExhaustiveRunOptions {
   /// failure they visit.
   bool counterexample = false;
   /// The serial one-task sweep that reports its memo counters
-  /// (wb::sweep_memoized; every sweep memoizes per task): fault-free, no
+  /// (wb::sweep_memoized; every sweep memoizes): fault-free, no
   /// counterexample tracking, schedules/verdict lines as the serial sweep's.
   bool memoize = false;
   /// Distinct-board accumulator (src/wb/distinct.h): exact sorted-run dedup

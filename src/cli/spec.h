@@ -105,7 +105,7 @@ struct SweepSpec {
   /// or adaptive:SEED[:TRIALS] (statistical verdict).
   FaultSpec faults{};
   /// The serial sweep that reports its memo counters (wb::sweep_memoized;
-  /// every sweep memoizes per task). Serial in-process only — the parser
+  /// every sweep memoizes). Serial in-process only — the parser
   /// rejects it with threads > 1, shards, or faults.
   bool memoize = false;
 

@@ -32,6 +32,12 @@ namespace wb {
 using NodeId = std::uint32_t;
 inline constexpr NodeId kNoNode = 0;
 
+/// Largest node count a parser that builds a Graph accepts (the edge-list
+/// loader, shard specs), checked before the (n+1)-word CSR offsets are
+/// allocated. rmat:28, the largest graph the spec grammar generates, has
+/// exactly this many nodes.
+inline constexpr std::size_t kMaxGraphNodes = std::size_t{1} << 28;
+
 /// Undirected edge with endpoints normalized so that u < v.
 struct Edge {
   NodeId u = 0;

@@ -69,10 +69,12 @@ class TokenStream {
 
 void check_limits(std::uint64_t n, std::uint64_t m,
                   const EdgeListLimits& limits) {
-  WB_REQUIRE_MSG(n <= limits.max_nodes,
-                 "node count " << n << " exceeds limit " << limits.max_nodes);
-  WB_REQUIRE_MSG(m <= limits.max_edges,
-                 "edge count " << m << " exceeds limit " << limits.max_edges);
+  WB_REQUIRE_MSG(n <= limits.max_nodes, "node count " << n
+                                                     << " exceeds the cap of "
+                                                     << limits.max_nodes);
+  WB_REQUIRE_MSG(m <= limits.max_edges, "edge count " << m
+                                                     << " exceeds the cap of "
+                                                     << limits.max_edges);
   WB_REQUIRE_MSG(n < std::numeric_limits<NodeId>::max(),
                  "node count " << n << " does not fit 32-bit node ids");
 }
@@ -109,22 +111,6 @@ std::string to_edge_list(const Graph& g) {
   std::ostringstream os;
   write_edge_list(g, os);
   return os.str();
-}
-
-Graph from_edge_list(const std::string& text) {
-  std::istringstream is(text);
-  std::size_t n = 0, m = 0;
-  WB_REQUIRE_MSG(static_cast<bool>(is >> n >> m), "missing graph header");
-  std::vector<Edge> edges;
-  edges.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    NodeId u = 0, v = 0;
-    WB_REQUIRE_MSG(static_cast<bool>(is >> u >> v), "truncated edge list");
-    WB_REQUIRE_MSG(u != v && u >= 1 && v >= 1 && u <= n && v <= n,
-                   "bad edge {" << u << "," << v << "}");
-    edges.push_back(make_edge(u, v));
-  }
-  return Graph(n, edges);
 }
 
 Graph read_edge_list(std::istream& in, const EdgeListLimits& limits,

@@ -12,17 +12,13 @@
 namespace wb {
 
 /// "n m\nu1 v1\nu2 v2\n..." — canonical since Graph::edges() is sorted.
+/// read_edge_list below reads it back.
 [[nodiscard]] std::string to_edge_list(const Graph& g);
-
-/// Parse the to_edge_list format *strictly*: self-loops, duplicates, and
-/// out-of-range endpoints are DataErrors. For large or messy external files
-/// use read_edge_list below. Throws wb::DataError on malformed input.
-[[nodiscard]] Graph from_edge_list(const std::string& text);
 
 /// Hard admission bounds for external files (checked before any allocation,
 /// so a hostile header cannot drive a giant resize).
 struct EdgeListLimits {
-  std::size_t max_nodes = std::size_t{1} << 31;
+  std::size_t max_nodes = kMaxGraphNodes;
   std::size_t max_edges = std::size_t{1} << 35;
 };
 

@@ -6,6 +6,9 @@
 //  - WB_REQUIRE: data-dependent failures (corrupted whiteboard, input graph
 //    outside a protocol's promised class, ...). These throw wb::DataError so
 //    callers can catch them and treat them as a protocol-level rejection.
+//    An input error is read by whoever supplied the input, so a
+//    WB_REQUIRE_MSG DataError carries only its message; a bare WB_REQUIRE
+//    (and every LogicError) names the failed expression and its source line.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +43,9 @@ namespace detail {
 
 [[noreturn]] inline void throw_data(const char* expr, const char* file,
                                     int line, const std::string& msg) {
+  if (!msg.empty()) throw DataError(msg);
   std::ostringstream os;
   os << file << ":" << line << ": requirement failed: " << expr;
-  if (!msg.empty()) os << " — " << msg;
   throw DataError(os.str());
 }
 

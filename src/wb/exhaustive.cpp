@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -17,13 +19,14 @@ namespace {
 /// single source of truth for both the returned total and the budget guard,
 /// so each is thread-count independent; the stop flag is how an early exit,
 /// a budget overrun, or a throwing visitor cancels sibling subtrees.
-/// Every worker bumps `visited` on every visit. A cache line of its own keeps
-/// the caller's stack variables that visitors read (a sweep's leaf vector,
-/// its classifier) from sharing the line and missing on each read.
+/// Every worker bumps `visited` on every visit and memo hit, and polls `stop`
+/// at every state: each gets a cache line of its own, so the polls do not
+/// miss on the bumps, and neither shares a line with the caller's stack
+/// variables that visitors read (a sweep's leaf vector, its classifier).
 struct alignas(64) ExploreControl {
   std::uint64_t budget = 0;
-  std::atomic<std::uint64_t> visited{0};
-  std::atomic<bool> stop{false};
+  alignas(64) std::atomic<std::uint64_t> visited{0};
+  alignas(64) std::atomic<bool> stop{false};
 };
 
 struct KeyHasher {
@@ -32,26 +35,74 @@ struct KeyHasher {
   }
 };
 
+/// The memo table of one judge_executions_under call, shared by every task
+/// of the call: EngineState::memo_key() -> subtree Tally. A Tally is a pure
+/// function of its key, so two tasks racing on one key can only expand it
+/// twice, never change a count. A call on several workers stripes the table
+/// over kStripes maps picked by the key's high bits, each under its own
+/// lock; a one-worker call keeps one map and takes no lock.
+class MemoTable {
+ public:
+  explicit MemoTable(bool concurrent)
+      : stripes_(concurrent ? kStripes : 1), concurrent_(concurrent) {}
+
+  [[nodiscard]] std::optional<Tally> find(const Hash128& key) {
+    Stripe& s = stripe_of(key);
+    const std::unique_lock<std::mutex> lock = lock_of(s);
+    const auto it = s.map.find(key);
+    if (it == s.map.end()) return std::nullopt;
+    return it->second;
+  }
+
+  void insert(const Hash128& key, const Tally& tally) {
+    Stripe& s = stripe_of(key);
+    const std::unique_lock<std::mutex> lock = lock_of(s);
+    s.map.emplace(key, tally);
+  }
+
+ private:
+  static constexpr std::size_t kStripes = 64;
+
+  struct alignas(64) Stripe {
+    std::mutex mu;
+    std::unordered_map<Hash128, Tally, KeyHasher> map;
+  };
+
+  Stripe& stripe_of(const Hash128& key) {
+    return stripes_[concurrent_ ? key.hi >> 58 : 0];
+  }
+  std::unique_lock<std::mutex> lock_of(Stripe& s) const {
+    return concurrent_ ? std::unique_lock<std::mutex>(s.mu)
+                       : std::unique_lock<std::mutex>();
+  }
+
+  std::vector<Stripe> stripes_;
+  bool concurrent_;
+};
+
 // Depth-first over adversary choices on ONE journaling EngineState: branches
 // are taken by write_node() and undone by rewind(), never by copying the
 // state. rewind() restores the candidate set, so each frame iterates
 // candidates() by index across its writes, and the scratch ExecutionResult
 // is pooled: a steady-state visit allocates nothing. In a parallel sweep
 // each subtree task owns one Backtracker seeded by replaying the task's
-// decision prefix. Given a SweepMemo, the task also memoizes: every
-// expanded state records its subtree's tally (the sum of the verdicts the
-// visitor tallied) under EngineState::memo_key(), and a state seen before
-// is credited from the table instead of walked.
+// decision prefix. Given a SweepMemo and the call's MemoTable, the task
+// also memoizes: every expanded state records its subtree's tally (the sum
+// of the verdicts the visitor tallied) under EngineState::memo_key(), and a
+// state seen before — by this task or a sibling — is credited from the
+// table instead of walked.
 class Backtracker {
  public:
   Backtracker(const Graph& g, const Protocol& p, const EngineOptions& eopts,
               ExploreControl& ctl, const JudgeVisitor& visit, std::size_t task,
-              SweepMemo* memo)
+              SweepMemo* memo, MemoTable* table, bool stagger)
       : state_(g, p, eopts),
         ctl_(&ctl),
         visit_(&visit),
         task_(task),
-        memo_(memo) {
+        memo_(memo),
+        table_(table),
+        stagger_(stagger ? task : 0) {
     state_.set_journaling(true);
   }
 
@@ -65,7 +116,12 @@ class Backtracker {
                    "subtree prefix reached a terminal state");
       state_.write_node(v);
     }
-    return explore();
+    const Tally tally = explore();
+    if (memo_ != nullptr) {
+      memo_->states.fetch_add(states_, std::memory_order_relaxed);
+      memo_->hits.fetch_add(hits_, std::memory_order_relaxed);
+    }
+    return tally;
   }
 
  private:
@@ -89,47 +145,67 @@ class Backtracker {
     Hash128 key{};
     if (memoize) {
       key = state_.memo_key();
-      if (const auto it = table_.find(key); it != table_.end()) {
+      if (const std::optional<Tally> hit = table_->find(key)) {
         // The subtree below an identical state: the same terminals, so the
-        // same tally — and its boards are already in the task's aggregates.
-        charge(it->second.executions);
-        memo_->hits.fetch_add(1, std::memory_order_relaxed);
+        // same tally — and the task that stored it, in this same call,
+        // already put its boards in that task's aggregates.
+        charge(hit->executions);
+        count(memo_->hits, hits_);
         state_.rewind(pre_round);
-        return it->second;
+        return *hit;
       }
-      memo_->states.fetch_add(1, std::memory_order_relaxed);
+      count(memo_->states, states_);
     }
     Tally sum;
     // Re-fetched each iteration: the write and the subtree below change the
-    // candidate set, and rewind(pre_write) restores it.
+    // candidate set, and rewind(pre_write) restores it. A memoizing task
+    // that shares its table with concurrent siblings starts every frame at
+    // its own candidate, so the workers expand different states first and
+    // meet mostly at states already stored; otherwise in DFS order.
     const EngineState::Checkpoint pre_write = state_.checkpoint();
-    for (std::size_t i = 0; i < state_.candidates().size(); ++i) {
+    const std::size_t n = state_.candidates().size();
+    std::size_t i = memoize ? stagger_ % n : 0;
+    for (std::size_t k = 0; k < n; ++k) {
       if (ctl_->stop.load(std::memory_order_relaxed)) break;
       state_.write_node(state_.candidates()[i]);
       sum += explore();
       state_.rewind(pre_write);
+      if (++i == n) i = 0;
     }
     // A stopped walk counted only part of the subtree; the probe may have
-    // dropped the table meanwhile.
+    // switched the memo off meanwhile.
     if (memoize && memo_ != nullptr &&
         !ctl_->stop.load(std::memory_order_relaxed)) {
-      table_.emplace(key, sum);
+      table_->insert(key, sum);
     }
     state_.rewind(pre_round);
     return sum;
   }
 
   /// The sweep-wide probe: once SweepMemo::kProbeStates states were
-  /// memoized without a single hit in any task, drop the table and walk
-  /// plainly; the first hit keeps the memo on for good.
+  /// memoized without a single hit in any task, stop reading and inserting
+  /// and walk plainly; the first hit keeps the memo on for good.
   bool memoizing() {
-    if (memo_ != nullptr && memo_->hits.load(std::memory_order_relaxed) == 0 &&
-        memo_->states.load(std::memory_order_relaxed) >=
-            SweepMemo::kProbeStates) {
+    if (memo_ == nullptr || settled_) return memo_ != nullptr;
+    if (memo_->hits.load(std::memory_order_relaxed) > 0) {
+      settled_ = true;
+    } else if (memo_->states.load(std::memory_order_relaxed) >=
+               SweepMemo::kProbeStates) {
       memo_ = nullptr;
-      table_ = {};
     }
     return memo_ != nullptr;
+  }
+
+  /// Bump a memo counter: in SweepMemo while the probe is open, since it
+  /// reads them; once it settled, in this task only, added when the task
+  /// ends — a shared counter bumped at every state would bounce its cache
+  /// line between the workers.
+  void count(std::atomic<std::uint64_t>& shared, std::uint64_t& local) {
+    if (settled_) {
+      ++local;
+    } else {
+      shared.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
   /// Reserve `n` executions in the shared count BEFORE visiting or
@@ -171,8 +247,12 @@ class Backtracker {
   const JudgeVisitor* visit_;
   std::size_t task_;
   ExecutionResult scratch_;
-  SweepMemo* memo_;  // null: walk plainly
-  std::unordered_map<Hash128, Tally, KeyHasher> table_;
+  SweepMemo* memo_;           // null: walk plainly
+  MemoTable* table_;          // the call's table, shared with sibling tasks
+  std::size_t stagger_;       // first candidate of each memoized frame
+  bool settled_ = false;      // a hit was seen: the probe is over
+  std::uint64_t states_ = 0;  // counts since the probe settled
+  std::uint64_t hits_ = 0;
 };
 
 std::size_t resolve_threads(std::size_t requested) {
@@ -238,18 +318,23 @@ std::uint64_t judge_executions_under(const Graph& g, const Protocol& p,
   ExploreControl ctl;
   ctl.budget = opts.max_executions;
   memo.tallies.assign(tasks.size(), Tally{});
+  const std::size_t threads = resolve_threads(opts.threads);
+  const bool concurrent = threads > 1 && tasks.size() > 1;
+  // One table for every task of this call, freed when it returns: a hit
+  // credits only subtrees this call has already walked.
+  std::optional<MemoTable> table;
+  if (memo.enabled) table.emplace(concurrent);
   // A task runs on one worker, so visits are concurrent only across task
   // indices. The visited set, the shared count, and whether the budget guard
   // fires are identical for any thread count; only the inter-task visit
-  // order varies.
+  // order (and with it which task expands a shared state) varies.
   const auto run_task = [&](std::size_t t) {
     if (ctl.stop.load(std::memory_order_relaxed)) return;
-    Backtracker bt(g, p, opts.engine, ctl, visit, t,
-                   memo.enabled ? &memo : nullptr);
+    Backtracker bt(g, p, opts.engine, ctl, visit, t, table ? &memo : nullptr,
+                   table ? &*table : nullptr, concurrent);
     memo.tallies[t] = bt.run(tasks[t].prefix());
   };
-  const std::size_t threads = resolve_threads(opts.threads);
-  if (threads > 1 && tasks.size() > 1) {
+  if (concurrent) {
     ThreadPool::shared().parallel_for(tasks.size(), run_task, threads);
   } else {
     for (std::size_t t = 0; t < tasks.size(); ++t) run_task(t);

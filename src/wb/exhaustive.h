@@ -26,9 +26,10 @@
 // different processes (or on different hosts) and be merged afterwards.
 // Judged sweeps — wb::sweep (the CLI runner, shards, fleet workers, fault
 // worlds) and sweep_memoized — tally through judge_executions_under, whose
-// tasks memoize converging states: anonymous-message protocols collapse n!
-// schedules to their distinct states, and a probe switches the memo off
-// where no state ever repeats.
+// tasks share one memo table of converging states per call: anonymous-
+// message protocols collapse n! schedules to their distinct states at any
+// thread count, and a probe switches the memo off where no state ever
+// repeats.
 //
 // This is the strongest evidence our simulator can produce for the "yes"
 // cells of Table 2, and the machinery behind the minimax searches in the
@@ -64,8 +65,8 @@ struct ExhaustiveOptions {
   /// layer above it): exact sorted-run dedup, or a HyperLogLog sketch whose
   /// memory is flat in the cardinality. See src/wb/distinct.h.
   DistinctConfig distinct{};
-  /// Ignored: every judged sweep memoizes per task (judge_executions_under)
-  /// and the visitor APIs never do. Kept only because the perfbench harness
+  /// Ignored: every judged sweep memoizes (judge_executions_under) and the
+  /// visitor APIs never do. Kept only because the perfbench harness
   /// sets it; it goes with the next change to the benchmark contract.
   bool memoize = false;
   EngineOptions engine;
@@ -167,29 +168,40 @@ struct Tally {
   }
 };
 
-/// The memo of one judged sweep, shared by its judge_executions_under calls
-/// (a fault sweep's worlds).
+/// The memo switch, probe and counters of one judged sweep, shared by its
+/// judge_executions_under calls (a fault sweep's worlds). The table itself
+/// belongs to each call: every task of a call reads and fills the same one,
+/// and it is freed when the call returns. With several tasks on several
+/// workers, which task expands a shared state depends on scheduling, so
+/// `states` and `hits` are exact only for a one-task or one-thread call;
+/// the tallies never depend on it.
 struct SweepMemo {
-  /// States memoized with no hit anywhere, after which every task drops its
-  /// table and walks plainly: where messages embed the writer's ID no state
-  /// repeats, and the memo costs only this probe.
+  /// States memoized with no hit anywhere, after which every task stops
+  /// reading and inserting and walks plainly: where messages embed the
+  /// writer's ID no state repeats, and the memo costs only this probe.
   static constexpr std::uint64_t kProbeStates = 1024;
 
   bool enabled = true;         // false: one visit per execution
   std::vector<Tally> tallies;  // out: one per task of the last call
   std::atomic<std::uint64_t> states{0};  // memoized states expanded
-  std::atomic<std::uint64_t> hits{0};    // branches answered from a table
+  std::atomic<std::uint64_t> hits{0};    // branches answered from the table
 };
 
 /// A judged sweep of the subtrees of `tasks`: as for_each_execution_under,
 /// but visit(result, task, tally) also adds the terminal's verdict (one
 /// execution) to `tally`, and each task's sum lands in memo.tallies. With
-/// memo.enabled each task maps EngineState::memo_key() to subtree Tally: a
-/// state seen before is credited and charged to the budget in bulk, its
-/// terminals not visited again — so the verdict must depend only on the
-/// final state, and other per-task aggregates must be idempotent (a set).
-/// Tallies, the returned count and the budget guard are bit-identical to
-/// the plain sweep's; a count past 2^64 - 1 throws wb::DataError naming it.
+/// memo.enabled the call keeps one table, EngineState::memo_key() ->
+/// subtree Tally, shared by all its tasks: a state any task has seen before
+/// is credited and charged to the budget in bulk, its terminals not visited
+/// again — so the verdict must depend only on the final state, and the
+/// other aggregates must be idempotent and reach the caller only through a
+/// union over all the call's tasks (a hit in one task may credit boards
+/// another task visited). On several workers the table takes striped locks
+/// and each task starts every frame at its own candidate, so siblings
+/// expand different states first; on one worker it takes no lock and tasks
+/// walk in DFS order. Tallies, the returned count and the budget guard are
+/// bit-identical to the plain sweep's; a count past 2^64 - 1 throws
+/// wb::DataError naming it.
 using JudgeVisitor =
     std::function<bool(const ExecutionResult&, std::size_t, Tally&)>;
 std::uint64_t judge_executions_under(const Graph& g, const Protocol& p,

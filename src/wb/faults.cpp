@@ -416,7 +416,9 @@ SweepTotals sweep(const Graph& g, const Protocol& p, const FaultSpec& faults,
     if (stopped.load(std::memory_order_relaxed)) break;
     make_world(wp, g, p, faults, world);
     const std::span<const NodeId> crashed = wp.crashed();
-    // One leaf per task: a task runs on one worker, so no locking.
+    // One leaf per task: a task runs on one worker, so no locking. A memo hit
+    // may credit boards a sibling task visited, so only the union of the
+    // leaves (SweepTotals::merge) is complete.
     std::vector<SweepTotals> leaves(subtrees.size());
     for (SweepTotals& leaf : leaves) {
       leaf.distinct = make_distinct_accumulator(opts.distinct);

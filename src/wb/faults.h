@@ -404,10 +404,12 @@ using FailureVisitor =
 /// peak memory stays one world's leaves plus the running total). Worlds
 /// run in ascending order; opts.threads fans each world's subtrees over the
 /// pool; opts.max_executions bounds the whole call (BudgetExceededError,
-/// deterministically at any thread count). Each task memoizes converging
-/// states through judge_executions_under (one SweepMemo, so one probe, for
-/// all worlds), which classifies each distinct terminal state once — so
-/// `classify` must judge by the final status and board, not the schedule.
+/// deterministically at any thread count). Each world's tasks share one
+/// memo table of converging states through judge_executions_under (one
+/// table per world, since each world adapts the protocol; one SweepMemo, so
+/// one probe, for all worlds), which classifies each distinct terminal
+/// state once — so `classify` must judge by the final status and board, not
+/// the schedule.
 /// For a full sweep the totals are bit-identical at any thread count and
 /// any task split, and the totals of disjoint task lists merge to the
 /// totals of their union. `on_failure` (optional) sees each failing

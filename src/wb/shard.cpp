@@ -361,9 +361,9 @@ std::vector<ShardSpec> plan_shards(const Graph& g, const Protocol& p,
   WB_REQUIRE_MSG(shard_count >= 1 && shard_count <= kMaxShards,
                  "shard count " << shard_count << " is out of range 1.."
                                 << kMaxShards);
-  WB_REQUIRE_MSG(g.node_count() <= kMaxNodes,
-                 "graph of " << g.node_count() << " nodes exceeds the shard "
-                             << "cap of " << kMaxNodes);
+  WB_REQUIRE_MSG(g.node_count() <= kMaxGraphNodes,
+                 "graph of " << g.node_count() << " nodes exceeds the cap of "
+                             << kMaxGraphNodes);
   // Adaptive plans carry no partition: shard k of K runs trial indices
   // k, k+K, k+2K, ... — the stride split run_shard derives from the shard
   // coordinates, which merges to exactly the single-stream trial set.
@@ -460,9 +460,9 @@ ShardSpec parse_shard_spec(const std::string& text) {
                                     << ": expected 'graph <n> <m>'");
   const std::uint64_t n = parse_u64_field(lp, graph_fields[0], "node count");
   const std::uint64_t m = parse_u64_field(lp, graph_fields[1], "edge count");
-  WB_REQUIRE_MSG(n <= kMaxNodes, "shard spec line "
-                                     << lp.line_no() << ": node count " << n
-                                     << " exceeds the cap of " << kMaxNodes);
+  WB_REQUIRE_MSG(n <= kMaxGraphNodes,
+                 "shard spec line " << lp.line_no() << ": node count " << n
+                                    << " exceeds the cap of " << kMaxGraphNodes);
   std::vector<Edge> edges;
   edges.reserve(clamped_reserve(m, text));
   for (std::uint64_t i = 0; i < m; ++i) {

@@ -76,11 +76,6 @@ inline constexpr int kFormatVersion = 3;
 /// every parser that reads a shard count.
 inline constexpr std::uint32_t kMaxShards = 1u << 20;
 
-/// Largest graph a plan may carry — enforced by plan_shards and by
-/// parse_shard_spec before it builds the graph. rmat:28, the largest graph
-/// the spec grammar generates, has exactly this many nodes.
-inline constexpr std::size_t kMaxNodes = std::size_t{1} << 28;
-
 /// One shard of a planned exhaustive sweep: the instance (graph + opaque
 /// protocol spec string + budget + engine options + distinct-accumulator
 /// config + failure model), which shard of how many this is, and the exact

@@ -125,5 +125,24 @@ TEST(CommandRegistry, BudgetOverrunIsAUsageErrorNotABug) {
   EXPECT_EQ(run("bug"), kExitBug);
 }
 
+TEST(CommandRegistry, InputErrorsPrintTheirReasonAlone) {
+  // An input error is for whoever typed the input: no source path, no C++
+  // condition, only the reason the generator gives.
+  CommandRegistry registry("tool");
+  registry.set_default(Command{
+      "", "", "tool", [](const std::vector<std::string>& args) {
+        (void)graph_from_spec(args.at(0));
+        return kExitPass;
+      }});
+  char program[] = "tool";
+  char spec[] = "path:0";
+  char* argv[] = {program, spec};
+  testing::internal::CaptureStdout();
+  const int code = registry.main(2, argv);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            "error: path N must be >= 1\n");
+  EXPECT_EQ(code, kExitUsage);
+}
+
 }  // namespace
 }  // namespace wb::cli

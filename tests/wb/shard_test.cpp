@@ -712,7 +712,7 @@ TEST(ShardFormats, MalformedSpecsAreRejectedWithDiagnostics) {
        replace_first(valid, "graph 3 2", "graph 4000000000 2")},
       {"node count one past the cap",
        replace_first(valid, "graph 3 2",
-                     "graph " + std::to_string(shard::kMaxNodes + 1) + " 2")},
+                     "graph " + std::to_string(kMaxGraphNodes + 1) + " 2")},
       {"missing faults line", replace_first(valid, "faults none\n", "")},
       {"shard index out of range", replace_first(valid, "shard 0 2",
                                                  "shard 2 2")},

@@ -10,10 +10,11 @@
 //  - crash:0 and corrupt:0, which must be invisible;
 //  - sweep_memoized, whose memo table must not change any count;
 // and a crash:1 sweep against its own 3-shard merge. Since every judged sweep
-// memoizes per task, a memo-free oracle — for_each_execution tallied by
-// hand, world by world — checks them too, on protocols whose boards hide
-// their writers (WriterBitProtocol, anon-degree) and on ones that sign them;
-// and the budget guard must fire at the same count with the memo as without.
+// memoizes (one table per call, shared by its tasks), a memo-free oracle —
+// for_each_execution tallied by hand, world by world — checks them too, on
+// protocols whose boards hide their writers (WriterBitProtocol, anon-degree)
+// and on ones that sign them; the budget guard must fire at the same count
+// with the memo as without; and sibling tasks must share one table.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -297,6 +298,33 @@ TEST(SweepEquivalence, MemoizedBudgetThrowsExactlyWhereThePlainSweepWould) {
       sweep_memoized(g, p, [](const ExecutionResult&) { return true; }, opts)
           .memo_hits,
       0u);
+}
+
+TEST(SweepEquivalence, TasksOfOneCallShareOneMemoTable) {
+  // star:8 split into its 56 depth-2 prefix tasks and swept on one thread:
+  // sibling tasks converge on the same states, and with one table per call
+  // a state any task expanded is a hit for every other. Tables local to a
+  // task would expand each shared state once per task (6,678 states against
+  // the whole-tree task's 696).
+  const Graph g = star_graph(8);
+  const AnonDegreeProtocol p;
+  const ExhaustiveOptions opts;
+  const std::vector<PrefixTask> tasks =
+      partition_executions(g, p, opts.engine, 16);
+  ASSERT_EQ(tasks.size(), 56u);
+  SweepMemo memo;
+  const std::uint64_t executions = judge_executions_under(
+      g, p, tasks,
+      [](const ExecutionResult&, std::size_t, Tally& tally) {
+        tally += {1, 0, 0};
+        return true;
+      },
+      memo, opts);
+  const MemoizedTotals whole =
+      sweep_memoized(g, p, [](const ExecutionResult&) { return true; }, opts);
+  EXPECT_EQ(executions, whole.executions);
+  EXPECT_GT(memo.hits.load(), 0u);
+  EXPECT_LE(memo.states.load(), whole.states_explored);
 }
 
 TEST(SweepEquivalence, ExecutionCountPastTwoToTheSixtyFourIsADataError) {
