@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <numeric>
+#include <utility>
+
+#include "src/support/hash.h"
 
 namespace wb {
 
@@ -100,6 +104,81 @@ Components connected_components(const Graph& g) {
 
 bool is_connected(const Graph& g) {
   return g.node_count() <= 1 || connected_components(g).count == 1;
+}
+
+namespace {
+
+/// N(u)∖{v} == N(v)∖{u}, on the sorted neighbour lists.
+bool are_twins(const Graph& g, NodeId u, NodeId v) {
+  const std::span<const NodeId> a = g.neighbors(u);
+  const std::span<const NodeId> b = g.neighbors(v);
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (true) {
+    if (i < a.size() && a[i] == v) ++i;
+    if (j < b.size() && b[j] == u) ++j;
+    if (i == a.size() || j == b.size()) return i == a.size() && j == b.size();
+    if (a[i++] != b[j++]) return false;
+  }
+}
+
+NodeId find_root(std::vector<NodeId>& parent, NodeId v) {
+  while (parent[v - 1] != v) {
+    parent[v - 1] = parent[parent[v - 1] - 1];
+    v = parent[v - 1];
+  }
+  return v;
+}
+
+}  // namespace
+
+TwinClasses twin_classes(const Graph& g) {
+  const std::size_t n = g.node_count();
+  // An order-free hash of each open neighbourhood; adding the node's own
+  // term hashes its closed one. Twins of either kind share one of the two.
+  std::vector<std::uint64_t> open(n, 0);
+  for (NodeId v = 1; v <= n; ++v) {
+    for (const NodeId w : g.neighbors(v)) open[v - 1] += mix64(w);
+  }
+  std::vector<NodeId> parent(n);
+  std::iota(parent.begin(), parent.end(), NodeId{1});
+  std::vector<std::pair<std::uint64_t, NodeId>> keyed(n);
+  std::vector<NodeId> firsts;  // one node per distinct neighbourhood in a run
+  for (const bool closed : {false, true}) {
+    for (NodeId v = 1; v <= n; ++v) {
+      keyed[v - 1] = {open[v - 1] + (closed ? mix64(v) : 0), v};
+    }
+    std::sort(keyed.begin(), keyed.end());
+    for (std::size_t lo = 0; lo < n;) {
+      std::size_t hi = lo + 1;
+      while (hi < n && keyed[hi].first == keyed[lo].first) ++hi;
+      firsts.clear();
+      for (std::size_t k = lo; k < hi; ++k) {
+        const NodeId v = keyed[k].second;
+        const auto twin = std::find_if(
+            firsts.begin(), firsts.end(),
+            [&](NodeId u) { return are_twins(g, u, v); });
+        if (twin == firsts.end()) {
+          firsts.push_back(v);
+        } else {
+          // Union keeping the smaller root, so each root is its class's
+          // smallest member.
+          const NodeId a = find_root(parent, v);
+          const NodeId b = find_root(parent, *twin);
+          parent[std::max(a, b) - 1] = std::min(a, b);
+        }
+      }
+      lo = hi;
+    }
+  }
+  TwinClasses t;
+  t.class_of.assign(n, 0);
+  for (NodeId v = 1; v <= n; ++v) {
+    const NodeId root = find_root(parent, v);
+    t.class_of[v - 1] = root == v ? static_cast<std::uint32_t>(t.count++)
+                                  : t.class_of[root - 1];
+  }
+  return t;
 }
 
 std::optional<std::vector<int>> bipartition(const Graph& g) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -49,6 +50,22 @@ struct Components {
 };
 [[nodiscard]] Components connected_components(const Graph& g);
 [[nodiscard]] bool is_connected(const Graph& g);
+
+/// Twin classes: u and v are twins when N(u)∖{v} = N(v)∖{u} — false twins
+/// (equal open neighbourhoods, so not adjacent) or true twins (equal closed
+/// neighbourhoods, so adjacent). Swapping two twins is an automorphism. No
+/// node has both a false and a true twin, so twinship partitions the nodes.
+/// class_of[v-1] is v's class, numbered from 0 in order of each class's
+/// smallest member, so the ids depend on the graph alone. O(n + m) hashing
+/// plus a sort; equal hashes are confirmed on the neighbour lists
+/// themselves, so a hash collision never merges two classes.
+struct TwinClasses {
+  std::vector<std::uint32_t> class_of;
+  std::size_t count = 0;
+  /// Some class holds two nodes.
+  [[nodiscard]] bool has_twins() const { return count < class_of.size(); }
+};
+[[nodiscard]] TwinClasses twin_classes(const Graph& g);
 
 /// Proper 2-coloring if bipartite (colors 0/1, color of each component's
 /// minimum node is 0), std::nullopt otherwise.

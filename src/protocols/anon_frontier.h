@@ -10,8 +10,9 @@
 // (§1: with few bits the board no longer describes the graph — here it only
 // carries the degree sequence) and what two subsystems exercise directly:
 //
-//  - the memoized enumerator (ExhaustiveOptions::memoize) shares converged
-//    subtrees, visiting far fewer states than schedules;
+//  - the memoized enumerator shares converged subtrees, and since the
+//    protocol is anonymous() it keys them by written count per twin class,
+//    so star:n expands O(n²) states for n! schedules;
 //  - the symbolic backend counts its distinct boards as permutations of a
 //    multiset (n! / prod(multiplicity!)) without enumerating schedules.
 //
@@ -37,6 +38,8 @@ class AnonDegreeProtocol final : public SimSyncProtocol<AnonDegreeOutput> {
                              BitWriter& scratch) const override;
   [[nodiscard]] AnonDegreeOutput output(const Whiteboard& board,
                                         std::size_t n) const override;
+  /// Messages are degrees and the output their sorted list: no ID is read.
+  [[nodiscard]] bool anonymous() const override { return true; }
   [[nodiscard]] std::string name() const override { return "anon-degree"; }
 };
 

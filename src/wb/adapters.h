@@ -67,6 +67,7 @@ class SimAsyncInSimSync final : public ProtocolWithOutput<OutputT> {
   OutputT output(const Whiteboard& board, std::size_t n) const override {
     return inner_->output(board, n);
   }
+  bool anonymous() const override { return inner_->anonymous(); }
   std::string name() const override {
     return inner_->name() + "@simsync";
   }
@@ -100,6 +101,7 @@ class SimSyncInAsync final : public ProtocolWithOutput<OutputT> {
   OutputT output(const Whiteboard& board, std::size_t n) const override {
     return inner_->output(board, n);
   }
+  // anonymous() stays false: activate() orders the writers by view.id().
   std::string name() const override { return inner_->name() + "@async"; }
 
  private:
@@ -132,6 +134,7 @@ class AsyncInSync final : public ProtocolWithOutput<OutputT> {
   OutputT output(const Whiteboard& board, std::size_t n) const override {
     return inner_->output(board, n);
   }
+  bool anonymous() const override { return inner_->anonymous(); }
   std::string name() const override { return inner_->name() + "@sync"; }
 
  private:
@@ -174,6 +177,7 @@ class Rebadge final : public ProtocolWithOutput<OutputT> {
   OutputT output(const Whiteboard& board, std::size_t n) const override {
     return inner_->output(board, n);
   }
+  bool anonymous() const override { return inner_->anonymous(); }
   std::string name() const override {
     return inner_->name() + "@" + std::string(model_name(target_));
   }

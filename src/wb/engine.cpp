@@ -82,6 +82,7 @@ void EngineState::rewind(const Checkpoint& cp) {
   while (write_order_.size() > cp.writes) {
     const NodeId v = write_order_.back();
     written_[v - 1] = false;
+    if (!twin_written_.empty()) --twin_written_[twin_class_[v - 1]];
     stats_.write_round[v - 1] = 0;
     insert_sorted(candidates_, v);
     write_order_.pop_back();
@@ -259,6 +260,7 @@ void EngineState::write_node(NodeId v) {
   board_.append(std::move(message));
   stats_.total_bits = board_.total_bits();
   written_[v - 1] = true;
+  if (!twin_written_.empty()) ++twin_written_[twin_class_[v - 1]];
   erase_sorted(candidates_, v);
   stats_.write_round[v - 1] = round_;
   ++stats_.writes;
@@ -315,6 +317,10 @@ Hash128 EngineState::memo_key() const {
   const Hash128 content = board_.content_hash();
   h.update(content.lo);
   h.update(content.hi);
+  if (!twin_written_.empty()) {
+    for (const std::uint32_t count : twin_written_) h.update(count);
+    return h.digest();
+  }
   // The written set, packed 64 nodes per word. Not derivable from the board
   // for protocols whose messages do not embed the writer's id.
   std::uint64_t word = 0;
@@ -327,6 +333,14 @@ Hash128 EngineState::memo_key() const {
   }
   if (n_ % 64 != 0) h.update(word);
   return h.digest();
+}
+
+void EngineState::set_twin_classes(std::span<const std::uint32_t> class_of,
+                                   std::size_t classes) {
+  WB_CHECK_MSG(class_of.size() == n_ && write_order_.empty(),
+               "set_twin_classes needs one class per node, before any write");
+  twin_class_ = class_of;
+  twin_written_.assign(classes, 0);
 }
 
 ExecutionResult run_protocol(const Graph& g, const Protocol& p, Adversary& adv,

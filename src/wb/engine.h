@@ -162,7 +162,20 @@ class EngineState {
   /// all), and the round counter tracks the write count — so two
   /// non-terminal states with equal keys behave identically under every
   /// future schedule. Used by the memoizing exhaustive sweep.
+  ///
+  /// After set_twin_classes the written set is replaced by the written
+  /// count per twin class. Two states with equal boards and equal counts
+  /// differ by a permutation inside each class — an automorphism — and an
+  /// anonymous() protocol cannot tell them apart: their futures have the
+  /// same executions, boards and verdicts.
   [[nodiscard]] Hash128 memo_key() const;
+
+  /// Key memo_key() by twin class: `class_of[v-1]` is v's class among
+  /// `classes` (twin_classes() of the graph; the span must outlive this
+  /// state). Only sound for an anonymous() protocol. Call before the first
+  /// write.
+  void set_twin_classes(std::span<const std::uint32_t> class_of,
+                        std::size_t classes);
 
   // --- Backtracking API (the exhaustive explorer) ---
 
@@ -248,6 +261,10 @@ class EngineState {
   /// classes, which compose at write time.
   std::vector<Bits> memory_;
   std::vector<bool> written_;
+  /// Twin class per node and written count per class; empty unless
+  /// set_twin_classes was called.
+  std::span<const std::uint32_t> twin_class_;
+  std::vector<std::uint32_t> twin_written_;
   /// Awake node IDs, sorted.
   std::vector<NodeId> awake_;
   /// Active node IDs with unwritten messages, sorted.

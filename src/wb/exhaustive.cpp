@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/graph/algorithms.h"
 #include "src/support/thread_pool.h"
 
 namespace wb {
@@ -88,14 +89,16 @@ class MemoTable {
 // each subtree task owns one Backtracker seeded by replaying the task's
 // decision prefix. Given a SweepMemo and the call's MemoTable, the task
 // also memoizes: every expanded state records its subtree's tally (the sum
-// of the verdicts the visitor tallied) under EngineState::memo_key(), and a
-// state seen before — by this task or a sibling — is credited from the
-// table instead of walked.
+// of the verdicts the visitor tallied) under EngineState::memo_key() —
+// keyed by twin class when the call found classes — and a state seen
+// before, by this task or a sibling, is credited from the table instead of
+// walked.
 class Backtracker {
  public:
   Backtracker(const Graph& g, const Protocol& p, const EngineOptions& eopts,
               ExploreControl& ctl, const JudgeVisitor& visit, std::size_t task,
-              SweepMemo* memo, MemoTable* table, bool stagger)
+              SweepMemo* memo, MemoTable* table, const TwinClasses& twins,
+              bool stagger)
       : state_(g, p, eopts),
         ctl_(&ctl),
         visit_(&visit),
@@ -104,6 +107,7 @@ class Backtracker {
         table_(table),
         stagger_(stagger ? task : 0) {
     state_.set_journaling(true);
+    if (twins.has_twins()) state_.set_twin_classes(twins.class_of, twins.count);
   }
 
   /// Replay `prefix` (one adversary decision per round) and exhaust the
@@ -324,6 +328,10 @@ std::uint64_t judge_executions_under(const Graph& g, const Protocol& p,
   // credits only subtrees this call has already walked.
   std::optional<MemoTable> table;
   if (memo.enabled) table.emplace(concurrent);
+  // Interchangeable writers share one key only where the protocol reads no
+  // ID and the graph has a twin pair; elsewhere the key is the written set.
+  TwinClasses twins;
+  if (table && p.anonymous()) twins = twin_classes(g);
   // A task runs on one worker, so visits are concurrent only across task
   // indices. The visited set, the shared count, and whether the budget guard
   // fires are identical for any thread count; only the inter-task visit
@@ -331,7 +339,7 @@ std::uint64_t judge_executions_under(const Graph& g, const Protocol& p,
   const auto run_task = [&](std::size_t t) {
     if (ctl.stop.load(std::memory_order_relaxed)) return;
     Backtracker bt(g, p, opts.engine, ctl, visit, t, table ? &memo : nullptr,
-                   table ? &*table : nullptr, concurrent);
+                   table ? &*table : nullptr, twins, concurrent);
     memo.tallies[t] = bt.run(tasks[t].prefix());
   };
   if (concurrent) {

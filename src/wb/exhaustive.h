@@ -29,7 +29,10 @@
 // tasks share one memo table of converging states per call: anonymous-
 // message protocols collapse n! schedules to their distinct states at any
 // thread count, and a probe switches the memo off where no state ever
-// repeats.
+// repeats. For a Protocol::anonymous() protocol on a graph with twins the
+// key counts the writers per twin class instead of naming them, so
+// interchangeable writers share one state (star:n: O(n²) states for n!
+// schedules).
 //
 // This is the strongest evidence our simulator can produce for the "yes"
 // cells of Table 2, and the machinery behind the minimax searches in the
@@ -191,15 +194,17 @@ struct SweepMemo {
 /// but visit(result, task, tally) also adds the terminal's verdict (one
 /// execution) to `tally`, and each task's sum lands in memo.tallies. With
 /// memo.enabled the call keeps one table, EngineState::memo_key() ->
-/// subtree Tally, shared by all its tasks: a state any task has seen before
-/// is credited and charged to the budget in bulk, its terminals not visited
-/// again — so the verdict must depend only on the final state, and the
-/// other aggregates must be idempotent and reach the caller only through a
-/// union over all the call's tasks (a hit in one task may credit boards
-/// another task visited). On several workers the table takes striped locks
-/// and each task starts every frame at its own candidate, so siblings
-/// expand different states first; on one worker it takes no lock and tasks
-/// walk in DFS order. Tallies, the returned count and the budget guard are
+/// subtree Tally, shared by all its tasks — keyed by written count per twin
+/// class (twin_classes(g), computed once per call) when p.anonymous() and
+/// the graph has a twin pair, else by the written set: a state any task has
+/// seen before is credited and charged to the budget in bulk, its terminals
+/// not visited again — so the verdict must depend only on the final state,
+/// and the other aggregates must be idempotent and reach the caller only
+/// through a union over all the call's tasks (a hit in one task may credit
+/// boards another task visited). On several workers the table takes
+/// striped locks and each task starts every frame at its own candidate, so
+/// siblings expand different states first; on one worker it takes no lock
+/// and tasks walk in DFS order. Tallies, the returned count and the budget guard are
 /// bit-identical to the plain sweep's; a count past 2^64 - 1 throws
 /// wb::DataError naming it.
 using JudgeVisitor =
@@ -238,7 +243,8 @@ struct MemoizedTotals {
 /// visited terminal — successful executions by `judge` — once per distinct
 /// terminal state, not per execution. Protocols whose messages embed the
 /// writer's id never collapse, and the probe switches their memo off;
-/// anonymous-message protocols (anon-degree) collapse factorially. Honors
+/// anonymous-message protocols (anon-degree) collapse factorially, and to
+/// O(n²) states on a star once their twin-class keys apply. Honors
 /// opts.max_executions exactly as the unmemoized sweep does.
 [[nodiscard]] MemoizedTotals sweep_memoized(
     const Graph& g, const Protocol& p,

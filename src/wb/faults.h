@@ -188,6 +188,10 @@ class CrashStopAdapter final : public Protocol {
   [[nodiscard]] FrontierLocality frontier_locality() const override {
     return crashed_.empty() ? inner_.frontier_locality() : FrontierLocality{};
   }
+  /// Forwarded though activate() reads the crash set: a crashed node never
+  /// writes, so two written sets with equal counts per twin class differ by
+  /// a permutation of each class that fixes every crashed node.
+  [[nodiscard]] bool anonymous() const override { return inner_.anonymous(); }
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] std::span<const NodeId> crashed() const { return crashed_; }
@@ -254,6 +258,10 @@ class CorruptingAdapter final : public Protocol {
   /// unless the channel is provably transparent.
   [[nodiscard]] FrontierLocality frontier_locality() const override {
     return model_.num == 0 ? inner_.frontier_locality() : FrontierLocality{};
+  }
+  /// A live channel salts each corruption with the writer's ID.
+  [[nodiscard]] bool anonymous() const override {
+    return model_.num == 0 && inner_.anonymous();
   }
   [[nodiscard]] std::string name() const override;
 

@@ -93,6 +93,17 @@ class Protocol {
     return {};
   }
 
+  /// True when no callback reads a node ID: activate() and compose() see
+  /// the view only through n and the degree (never view.id() nor a
+  /// neighbour's ID), and the output reads only the board. Then swapping two
+  /// twins (N(u)∖{v} = N(v)∖{u}, an automorphism) maps every execution onto
+  /// one with the same boards and verdicts, so a judged sweep may key its
+  /// memo on the written count per twin class instead of the written set
+  /// (EngineState::set_twin_classes). The default claims nothing; a false
+  /// claim merges states whose futures differ and miscounts, which the
+  /// equivalence suites check against a memo-free oracle.
+  [[nodiscard]] virtual bool anonymous() const { return false; }
+
   [[nodiscard]] virtual std::string name() const = 0;
 };
 

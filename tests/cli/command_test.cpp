@@ -6,9 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <sstream>
+
 #include "src/cli/runners.h"
 #include "src/cli/spec.h"
+#include "src/cli/verdicts.h"
+#include "src/fleet/transport.h"
+#include "src/graph/io.h"
 #include "src/support/check.h"
+#include "src/wb/shard.h"
 
 namespace wb::cli {
 namespace {
@@ -142,6 +149,100 @@ TEST(CommandRegistry, InputErrorsPrintTheirReasonAlone) {
   EXPECT_EQ(testing::internal::GetCapturedStdout(),
             "error: path N must be >= 1\n");
   EXPECT_EQ(code, kExitUsage);
+}
+
+/// Run `registry` on `args` as main() would, capturing what it prints.
+std::pair<int, std::string> run_main(const CommandRegistry& registry,
+                                     std::vector<std::string> args) {
+  std::string program = "tool";
+  std::vector<char*> argv{program.data()};
+  for (std::string& a : args) argv.push_back(a.data());
+  testing::internal::CaptureStdout();
+  const int code = registry.main(static_cast<int>(argv.size()), argv.data());
+  return {code, testing::internal::GetCapturedStdout()};
+}
+
+/// The classic `<graph> <protocol> exhaustive...` invocation, in-process.
+CommandRegistry sweep_registry() {
+  CommandRegistry registry("tool");
+  registry.set_default(Command{
+      "", "", "tool", [](const std::vector<std::string>& args) {
+        const SweepSpec sweep = sweep_from_spec(args.at(2));
+        ExhaustiveRunOptions opts;
+        opts.threads = sweep.threads;
+        opts.max_executions = sweep.max_executions;
+        const RunReport report = run_protocol_spec_exhaustive(
+            args.at(1), graph_from_spec(args.at(0)), opts);
+        std::printf("%s", report.summary.c_str());
+        return report.correct ? kExitPass : kExitFail;
+      }});
+  return registry;
+}
+
+TEST(CommandRegistry, StarTwentyCountsTwentyFactorialAndStarTwentyOneIsRefused) {
+  // anon-degree's leaves are interchangeable, so the twin-keyed memo counts
+  // 20! executions exactly; 21! > 2^64 - 1 is refused naming the bound.
+  const CommandRegistry registry = sweep_registry();
+  const std::string budget = ":budget=18446744073709551615";
+  const auto [code20, out20] = run_main(
+      registry, {"star:20", "anon-degree", "exhaustive:1" + budget});
+  EXPECT_EQ(code20, kExitPass) << out20;
+  EXPECT_NE(out20.find("schedules  2432902008176640000 executions"),
+            std::string::npos)
+      << out20;
+  const auto [code21, out21] = run_main(
+      registry, {"star:21", "anon-degree", "exhaustive:1" + budget});
+  EXPECT_EQ(code21, kExitUsage) << out21;
+  EXPECT_EQ(out21.rfind("error: execution count overflows 64 bits (", 0), 0u)
+      << out21;
+}
+
+TEST(CommandRegistry, EveryInputGrammarPrintsItsReasonAlone) {
+  // One malformed input per grammar: the shard spec, the wbframe header,
+  // the edge list and the wb-verdicts document (its filter); each prints
+  // only its reason.
+  CommandRegistry registry("tool");
+  registry.set_default(Command{
+      "", "", "tool", [](const std::vector<std::string>&) { return 0; }});
+  registry.add(Command{
+      "shard", "", "tool shard", [](const std::vector<std::string>&) {
+        (void)shard::parse_shard_spec("wbshard-spec v9\n");
+        return kExitPass;
+      }});
+  registry.add(Command{
+      "frame", "", "tool frame", [](const std::vector<std::string>&) {
+        fleet::FrameDecoder decoder;
+        decoder.feed("wbframe v1 gossip 3\nabc");
+        (void)decoder.next();
+        return kExitPass;
+      }});
+  registry.add(Command{
+      "edges", "", "tool edges", [](const std::vector<std::string>&) {
+        std::istringstream in("3 1\n1 x\n");
+        (void)read_edge_list(in);
+        return kExitPass;
+      }});
+  registry.add(Command{
+      "verdicts", "", "tool verdicts", [](const std::vector<std::string>&) {
+        (void)generate_verdict_matrix("no-such-protocol", 1);
+        return kExitPass;
+      }});
+  const std::pair<const char*, const char*> pinned[] = {
+      {"shard",
+       "error: shard spec: unsupported format version 'v9' (this build "
+       "reads v3)\n"},
+      {"frame",
+       "error: malformed frame: unknown frame type 'gossip' — expected "
+       "hello|spec|result|heartbeat|shutdown|error|ack\n"},
+      {"edges", "error: unexpected character 'x' in edge list\n"},
+      {"verdicts",
+       "error: no zoo protocol matches filter 'no-such-protocol'\n"},
+  };
+  for (const auto& [command, want] : pinned) {
+    const auto [code, out] = run_main(registry, {command});
+    EXPECT_EQ(out, want) << command;
+    EXPECT_EQ(code, kExitUsage) << command;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+
 #include "src/graph/generators.h"
 
 namespace wb {
@@ -67,6 +71,94 @@ TEST(Components, CountsAndIndexesByMinId) {
   EXPECT_FALSE(is_connected(g));
   EXPECT_TRUE(is_connected(path_graph(6)));
   EXPECT_TRUE(is_connected(Graph(1)));
+}
+
+/// The definition, pair by pair: N(u)∖{v} = N(v)∖{u}. O(n³).
+bool twins_by_definition(const Graph& g, NodeId u, NodeId v) {
+  std::set<NodeId> a;
+  std::set<NodeId> b;
+  for (NodeId w = 1; w <= g.node_count(); ++w) {
+    if (w != v && w != u && g.has_edge(u, w)) a.insert(w);
+    if (w != u && w != v && g.has_edge(v, w)) b.insert(w);
+  }
+  return a == b;
+}
+
+/// Same class iff twins, and classes numbered by their smallest members.
+void expect_twin_classes(const Graph& g, const std::string& name) {
+  const TwinClasses t = twin_classes(g);
+  const std::size_t n = g.node_count();
+  ASSERT_EQ(t.class_of.size(), n) << name;
+  std::size_t next = 0;
+  bool pair = false;
+  for (NodeId v = 1; v <= n; ++v) {
+    bool first = true;
+    for (NodeId u = 1; u < v; ++u) {
+      const bool twins = twins_by_definition(g, u, v);
+      EXPECT_EQ(t.class_of[u - 1] == t.class_of[v - 1], twins)
+          << name << ": nodes " << u << ", " << v;
+      first = first && !twins;
+      pair = pair || twins;
+    }
+    if (first) {
+      EXPECT_EQ(t.class_of[v - 1], next++) << name << ": node " << v;
+    }
+  }
+  EXPECT_EQ(t.count, next) << name;
+  EXPECT_EQ(t.has_twins(), pair) << name;
+}
+
+TEST(TwinClasses, MatchTheDefinitionOnEveryPair) {
+  const std::pair<std::string, Graph> graphs[] = {
+      {"star:6", star_graph(6)},
+      {"complete:5", complete_graph(5)},
+      {"K_{2,3}", complete_bipartite(2, 3)},
+      {"K_{3,3}", complete_bipartite(3, 3)},
+      {"path:3", path_graph(3)},
+      {"cycle:4", cycle_graph(4)},
+      {"grid:2x4", grid_graph(2, 4)},
+      {"twocliques:3", two_cliques(3)},
+      {"empty:4", empty_graph(4)},
+      {"one node", empty_graph(1)},
+      {"edge + 3 isolated", Graph(5, std::vector<Edge>{{2, 4}})},
+      {"star:4 + 2 isolated",
+       Graph(6, std::vector<Edge>{{1, 2}, {1, 3}, {1, 4}})},
+  };
+  for (const auto& [name, g] : graphs) expect_twin_classes(g, name);
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    expect_twin_classes(erdos_renyi(7, 1, 2, seed),
+                        "gnp:7:1/2:" + std::to_string(seed));
+  }
+}
+
+TEST(TwinClasses, KnownShapes) {
+  // star: the center alone, the leaves one class of false twins.
+  EXPECT_EQ(twin_classes(star_graph(5)).class_of,
+            (std::vector<std::uint32_t>{0, 1, 1, 1, 1}));
+  // complete: one class of true twins.
+  EXPECT_EQ(twin_classes(complete_graph(4)).count, 1u);
+  // path:3: the two ends are false twins; cycle:4 pairs opposite corners.
+  EXPECT_EQ(twin_classes(path_graph(3)).class_of,
+            (std::vector<std::uint32_t>{0, 1, 0}));
+  EXPECT_EQ(twin_classes(cycle_graph(4)).count, 2u);
+  // grid:2x4 has no twin pair.
+  EXPECT_FALSE(twin_classes(grid_graph(2, 4)).has_twins());
+  // Isolated nodes share an empty neighbourhood.
+  EXPECT_EQ(twin_classes(Graph(5, std::vector<Edge>{{2, 4}})).class_of,
+            (std::vector<std::uint32_t>{0, 1, 0, 1, 0}));
+}
+
+TEST(TwinClasses, IdsDependOnTheGraphAlone) {
+  // The same graph built from its edges in reverse order, and a second call.
+  for (std::uint64_t seed = 0; seed < 5; ++seed) {
+    const Graph g = erdos_renyi(9, 1, 3, seed);
+    std::vector<Edge> edges;
+    for (const Edge e : g.edges()) edges.insert(edges.begin(), e);
+    const Graph rebuilt(g.node_count(), edges);
+    const TwinClasses t = twin_classes(g);
+    EXPECT_EQ(twin_classes(rebuilt).class_of, t.class_of) << seed;
+    EXPECT_EQ(twin_classes(g).class_of, t.class_of) << seed;
+  }
 }
 
 TEST(Bipartite, EvenCycleYesOddCycleNo) {

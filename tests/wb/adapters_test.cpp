@@ -7,11 +7,14 @@
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/protocols/build_degenerate.h"
+#include "src/protocols/anon_frontier.h"
 #include "src/protocols/build_forest.h"
+#include "src/protocols/codec.h"
 #include "src/protocols/eob_bfs.h"
 #include "src/protocols/mis.h"
 #include "src/wb/engine.h"
 #include "src/wb/exhaustive.h"
+#include "src/wb/faults.h"
 
 namespace wb {
 namespace {
@@ -121,6 +124,45 @@ TEST(Adapters, FullChainReconstructsIdentically) {
     ASSERT_TRUE(r.ok()) << typed->name();
     EXPECT_EQ(*typed->output(r.board, 10), g) << typed->name();
   }
+}
+
+/// anon-degree's message from local knowledge alone: an anonymous SIMASYNC
+/// protocol to wrap.
+class AnonDegreeSimAsync final : public SimAsyncProtocol<std::size_t> {
+ public:
+  std::size_t message_bit_limit(std::size_t n) const override {
+    return static_cast<std::size_t>(codec::id_bits(n));
+  }
+  Bits compose_initial(const LocalView& view, BitWriter& w) const override {
+    w.write_uint(view.degree(), codec::id_bits(view.n()));
+    return w.take();
+  }
+  std::size_t output(const Whiteboard& board, std::size_t) const override {
+    return board.message_count();
+  }
+  bool anonymous() const override { return true; }
+  std::string name() const override { return "anon-degree-simasync"; }
+};
+
+TEST(Adapters, AnonymityForwardsUnlessTheAdapterReadsAnId) {
+  const AnonDegreeSimAsync simasync;
+  const AnonDegreeProtocol simsync;
+  const BuildForestProtocol signed_inner;
+  EXPECT_TRUE(SimAsyncInSimSync<std::size_t>(simasync).anonymous());
+  const Rebadge<std::size_t> at_async(simasync, ModelClass::kAsync);
+  EXPECT_TRUE(at_async.anonymous());
+  EXPECT_TRUE(AsyncInSync<std::size_t>(at_async).anonymous());
+  EXPECT_TRUE(
+      Rebadge<AnonDegreeOutput>(simsync, ModelClass::kSync).anonymous());
+  // Sequential activation orders the writers by ID.
+  EXPECT_FALSE(SimSyncInAsync<AnonDegreeOutput>(simsync).anonymous());
+  EXPECT_FALSE(SimAsyncInSimSync<BuildOutput>(signed_inner).anonymous());
+  // A crash set never writes, so it is fixed by the class permutations; a
+  // live corruption channel salts by the writer's ID.
+  EXPECT_TRUE(CrashStopAdapter(simsync, {2, 3}).anonymous());
+  EXPECT_FALSE(CrashStopAdapter(signed_inner, {2}).anonymous());
+  EXPECT_TRUE(CorruptingAdapter(simsync, {0, 1, 0}).anonymous());
+  EXPECT_FALSE(CorruptingAdapter(simsync, {1, 4, 0}).anonymous());
 }
 
 }  // namespace

@@ -14,7 +14,10 @@
 // for_each_execution tallied by hand, world by world — checks them too, on
 // protocols whose boards hide their writers (WriterBitProtocol, anon-degree)
 // and on ones that sign them; the budget guard must fire at the same count
-// with the memo as without; and sibling tasks must share one table.
+// with the memo as without; and sibling tasks must share one table. The
+// twin-class keys of anonymous() protocols face the same oracle on graphs
+// with false and true twins, under crash and corruption worlds, and a
+// protocol that claims anonymity falsely must be caught by it.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -22,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/protocols/anon_frontier.h"
 #include "src/protocols/mis.h"
@@ -258,6 +262,96 @@ TEST(SweepEquivalence, MemoizedSweepsEqualTheMemoFreeOracle) {
             0u);
 }
 
+/// WriterBitProtocol claiming anonymous(): its messages read the writer's
+/// ID, so twin-class keys merge states whose futures differ.
+class FalselyAnonymousWriterBit final : public testing::WriterBitProtocol {
+ public:
+  bool anonymous() const override { return true; }
+};
+
+/// Anonymous like anon-degree, but each message also reads the board: the
+/// writer's degree plus the number of messages before it. A corruption
+/// channel salted by the writer's ID then corrupts one twin's message at a
+/// given step and not another's, so forwarding the anonymity claim through
+/// a live channel would merge states whose futures differ.
+class AnonDegreeClockProtocol final : public SimSyncProtocol<int> {
+ public:
+  std::size_t message_bit_limit(std::size_t) const override { return 8; }
+  Bits compose(const LocalView& view, const Whiteboard& board,
+               BitWriter& w) const override {
+    w.write_uint(view.degree() + board.message_count(), 8);
+    return w.take();
+  }
+  int output(const Whiteboard& board, std::size_t) const override {
+    return static_cast<int>(board.message_count());
+  }
+  bool anonymous() const override { return true; }
+  std::string name() const override { return "anon-degree-clock"; }
+};
+
+TEST(SweepEquivalence, TwinKeyedSweepsEqualTheMemoFreeOracle) {
+  static const AnonDegreeProtocol anon_degree;
+  static const AnonDegreeClockProtocol anon_clock;
+  const std::pair<std::string, Graph> graphs[] = {
+      {"star:5", star_graph(5)},
+      {"complete:5", complete_graph(5)},
+      {"K_{2,3}",
+       Graph(5, std::vector<Edge>{
+                    {1, 3}, {1, 4}, {1, 5}, {2, 3}, {2, 4}, {2, 5}})},
+      {"twocliques:3", two_cliques(3)},
+      {"cycle:4", cycle_graph(4)},
+      {"gnp:5:1/2:3", erdos_renyi(5, 1, 2, 3)},
+  };
+  for (const auto& [graph_name, g] : graphs) {
+    ASSERT_TRUE(twin_classes(g).has_twins()) << graph_name;
+    for (const Protocol* p : {static_cast<const Protocol*>(&anon_degree),
+                              static_cast<const Protocol*>(&anon_clock)}) {
+      for (const FaultSpec& faults : {FaultSpec::None(), FaultSpec::Crash(1),
+                                      FaultSpec::Crash(2),
+                                      FaultSpec::Corrupt(1, 4)}) {
+        const std::string name = p->name() + " on " + graph_name + ", " +
+                                 fault_spec_to_string(faults);
+        const Counts want = run_oracle(g, *p, faults);
+        EXPECT_EQ(run_sweep(g, *p, faults, 1), want) << name << ", serial";
+        EXPECT_EQ(run_sweep(g, *p, faults, 4), want)
+            << name << ", 4 threads";
+        EXPECT_EQ(run_sharded(g, *p, faults, 3), want)
+            << name << ", 3 shards";
+      }
+    }
+  }
+  // The oracle can fail: a false anonymity claim miscounts.
+  static const FalselyAnonymousWriterBit liar;
+  const Graph star = star_graph(5);
+  EXPECT_NE(run_sweep(star, liar, FaultSpec::None(), 1),
+            run_oracle(star, liar, FaultSpec::None()));
+}
+
+TEST(SweepEquivalence, TwinKeysCollapseInterchangeableWriters) {
+  // States expanded by the serial memoized sweep, keyed by twin class
+  // (anon-degree) and by written set (the same callbacks without the
+  // anonymous() claim). The star's leaves are false twins; a clique's nodes
+  // and each clique of twocliques are true twins; grid:2x4 has no twin pair
+  // and keeps the written-set key.
+  const AnonDegreeProtocol anon;
+  const testing::WithoutLocality plain(anon);
+  const auto states = [](const Graph& g, const Protocol& p) {
+    ExhaustiveOptions opts;
+    opts.max_executions = std::numeric_limits<std::uint64_t>::max();
+    return sweep_memoized(
+               g, p, [](const ExecutionResult&) { return true; }, opts)
+        .states_explored;
+  };
+  EXPECT_EQ(states(star_graph(10), anon), 55u);
+  EXPECT_EQ(states(star_graph(10), plain), 3318u);
+  EXPECT_EQ(states(star_graph(14), anon), 105u);  // 69,618 without the claim
+  EXPECT_EQ(states(complete_graph(8), anon), 8u);
+  EXPECT_EQ(states(complete_graph(8), plain), 255u);
+  EXPECT_EQ(states(two_cliques(4), anon), 24u);
+  EXPECT_EQ(states(two_cliques(4), plain), 255u);
+  EXPECT_EQ(states(grid_graph(2, 4), anon), states(grid_graph(2, 4), plain));
+}
+
 TEST(SweepEquivalence, MemoizedBudgetThrowsExactlyWhereThePlainSweepWould) {
   const Graph g = star_graph(7);  // 7! = 5040 schedules, 8 distinct boards
   const AnonDegreeProtocol p;
@@ -304,8 +398,8 @@ TEST(SweepEquivalence, TasksOfOneCallShareOneMemoTable) {
   // star:8 split into its 56 depth-2 prefix tasks and swept on one thread:
   // sibling tasks converge on the same states, and with one table per call
   // a state any task expanded is a hit for every other. Tables local to a
-  // task would expand each shared state once per task (6,678 states against
-  // the whole-tree task's 696).
+  // task would expand each shared state once per task — one call per task
+  // below.
   const Graph g = star_graph(8);
   const AnonDegreeProtocol p;
   const ExhaustiveOptions opts;
@@ -325,12 +419,26 @@ TEST(SweepEquivalence, TasksOfOneCallShareOneMemoTable) {
   EXPECT_EQ(executions, whole.executions);
   EXPECT_GT(memo.hits.load(), 0u);
   EXPECT_LE(memo.states.load(), whole.states_explored);
+  std::uint64_t local = 0;
+  for (const PrefixTask& t : tasks) {
+    SweepMemo own;
+    (void)judge_executions_under(
+        g, p, {&t, 1},
+        [](const ExecutionResult&, std::size_t, Tally& tally) {
+          tally += {1, 0, 0};
+          return true;
+        },
+        own, opts);
+    local += own.states.load();
+  }
+  // Still telling: task-local tables expand 966 states, against 36 for the
+  // whole-tree task and 33 for the shared table.
+  EXPECT_GT(local, 2 * whole.states_explored);
 }
 
 TEST(SweepEquivalence, ExecutionCountPastTwoToTheSixtyFourIsADataError) {
   // A memo hit charges a whole subtree's executions at once, through this
-  // add; star:21 anon-degree (21! > 2^64 schedules) with the largest budget
-  // reaches it only after minutes, so the add itself is the seam.
+  // add: the seam itself, then a real sweep past it.
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   EXPECT_EQ(checked_add(kMax - 10, 10, "execution"), kMax);
   try {
@@ -342,6 +450,26 @@ TEST(SweepEquivalence, ExecutionCountPastTwoToTheSixtyFourIsADataError) {
                   "+ 10)"),
               std::string::npos)
         << e.what();
+  }
+  // star:21 anon-degree has 21! > 2^64 schedules; twin-class keys reach
+  // the bound within milliseconds, at any thread count.
+  const Graph g = star_graph(21);
+  const AnonDegreeProtocol p;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ExhaustiveOptions opts;
+    opts.threads = threads;
+    opts.max_executions = kMax;
+    try {
+      (void)sweep(g, p, FaultSpec::None(),
+                  partition_fault_tasks_for_threads(g, p, FaultSpec::None(),
+                                                    opts.engine, threads),
+                  classify, opts);
+      FAIL() << "star:21 swept past 2^64 executions at " << threads;
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find("execution count overflows 64 bits"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -266,7 +266,7 @@ class GossipCountProtocol final : public ProtocolWithOutput<int> {
 /// the writer's ID: the board does not name its writers, so equal boards
 /// written by different node sets have different futures. A memo keyed on
 /// the board alone, without the written set, merges them and miscounts.
-class WriterBitProtocol final : public SimSyncProtocol<int> {
+class WriterBitProtocol : public SimSyncProtocol<int> {
  public:
   std::size_t message_bit_limit(std::size_t) const override { return 1; }
   Bits compose(const LocalView& view, const Whiteboard& board,
